@@ -82,33 +82,41 @@ class StructuredBasis:
                 c[j, i] = -coeff
         return c
 
-    def _validate(self):
+    def identity_residuals(self):
+        """Max residuals of the Lie identities on the structure constants.
+
+        Keys: ``jacobi-identity``, ``ad-invariance`` of the bi-invariant form
+        (<[u,v],w> + <v,[u,w]> = 0 on basis triples) and, with a split,
+        ``split [h,h] in h`` and ``split [h,hp] in hp``.
+        """
         c = self.structure_constants
-        scale = max(1.0, np.abs(c).max())
-        # Jacobi identity on structure constants.
         jac = (
             np.einsum("ijm,mkl->ijkl", c, c)
             + np.einsum("jkm,mil->ijkl", c, c)
             + np.einsum("kim,mjl->ijkl", c, c)
         )
-        if np.abs(jac).max() > ALGEBRA_TOL * scale * self.dim:
-            raise InvalidDimensionError(
-                f"{self.name}: Jacobi identity residual {np.abs(jac).max():.2e}"
-            )
-        # ad-invariance of the form: <[u,v],w> + <v,[u,w]> = 0 on basis triples.
         g = self.biinv_gram
         adinv = np.einsum("ijm,mk->ijk", c, g) + np.einsum("ikm,jm->ijk", c, g)
-        if np.abs(adinv).max() > ALGEBRA_TOL * max(1.0, np.abs(g).max()) * self.dim:
-            raise InvalidDimensionError(
-                f"{self.name}: form is not ad-invariant ({np.abs(adinv).max():.2e})"
-            )
+        out = {
+            "jacobi-identity": float(np.abs(jac).max()),
+            "ad-invariance": float(np.abs(adinv).max()),
+        }
         m = self.subalgebra_dim
         if m:
-            # [h,h] stays in h, [h, h-perp] stays in h-perp.
-            if np.abs(c[:m, :m, m:]).max() > ALGEBRA_TOL:
-                raise InvalidDimensionError(f"{self.name}: h is not a subalgebra")
-            if np.abs(c[:m, m:, :m]).max() > ALGEBRA_TOL:
-                raise InvalidDimensionError(f"{self.name}: [h, h-perp] leaks into h")
+            out["split [h,h] in h"] = float(np.abs(c[:m, :m, m:]).max())
+            out["split [h,hp] in hp"] = float(np.abs(c[:m, m:, :m]).max())
+        return out
+
+    def _validate(self):
+        # the Jacobi and ad-invariance bounds scale with the size of c and the Gram
+        tol = ALGEBRA_TOL * self.dim
+        bounds = {
+            "jacobi-identity": tol * max(1.0, np.abs(self.structure_constants).max()),
+            "ad-invariance": tol * max(1.0, np.abs(self.biinv_gram).max()),
+        }
+        for name, residual in self.identity_residuals().items():
+            if residual > bounds.get(name, ALGEBRA_TOL):
+                raise InvalidDimensionError(f"{self.name}: {name} residual {residual:.2e}")
 
     # -- element factories -----------------------------------------------------
 

@@ -22,6 +22,7 @@ from . import __version__
 import scipy.linalg
 
 from .algebra import (
+    ALGEBRA_TOL,
     Ad_matrix,
     ad_matrix_raw,
     bracket,
@@ -63,7 +64,7 @@ from .jacobi import (
     integrate_jacobi,
     solution_operator,
 )
-from .locus import berger_det, emit_locus_csv, emit_locus_svg, generate_locus_slice
+from .locus import UNITS, berger_det, emit_locus_csv, emit_locus_svg, generate_locus_slice
 from .metric import MetricOperator
 
 EXIT_OK = 0
@@ -113,7 +114,22 @@ def normalize_config(raw):
                 raise ConfigError(f"{field} must be a positive finite number")
     if cfg["criterion"] is not None and cfg["criterion"] not in CRITERIA:
         raise ConfigError(f"criterion must be one of {CRITERIA}")
+    if cfg["dt"] is not None and cfg["T"] is not None and cfg["dt"] > cfg["T"]:
+        raise ConfigError("dt must not exceed T")
+    tol = cfg["tolerances"]
+    try:
+        time_tol, sigma = float(tol["time_tol"]), float(tol["sigma_rel_threshold"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"tolerances must be numbers: {exc}")
+    if not (np.isfinite(time_tol) and time_tol > 0):
+        raise ConfigError("tolerances.time_tol must be a positive finite number")
+    if not 0 < sigma < 1:
+        raise ConfigError("tolerances.sigma_rel_threshold must lie in (0, 1)")
     cfg["angles"] = int(cfg["angles"])
+    if cfg["angles"] < 8:
+        raise ConfigError("angles must be at least 8")
+    if cfg["unit"] not in UNITS:
+        raise ConfigError(f"unit must be one of {UNITS}")
     cfg["seed"] = int(cfg["seed"])
     cfg["deltas"] = [float(d) for d in cfg["deltas"]]
     if any(not np.isfinite(d) or d <= -1 for d in cfg["deltas"]):
@@ -156,13 +172,14 @@ def build_metric(basis, spec):
         if kind == "cheeger":
             return MetricOperator.cheeger(basis, spec["delta"])
         if kind == "generic":
-            matrix = np.array(json.load(open(spec["matrix_file"]))["matrix"])
+            with open(spec["matrix_file"]) as fh:
+                matrix = np.array(json.load(fh)["matrix"])
             return MetricOperator.generic(basis, matrix)
         if kind == "biinvariant":
             return MetricOperator.biinvariant(basis)
     except KeyError as exc:
         raise ConfigError(f"metric {kind!r} is missing field {exc}")
-    except LieGeoError as exc:
+    except (LieGeoError, OSError, ValueError) as exc:
         raise ConfigError(str(exc))
     raise ConfigError(f"unknown metric kind {kind!r}")
 
@@ -196,7 +213,6 @@ def write_manifest(cfg, outdir, outputs):
         "config_hash": config_hash(cfg),
         "version": __version__,
         "seed": cfg["seed"],
-        "threads": os.environ.get("LIEGEO_THREADS"),
         "outputs": sorted(outputs),
         "tolerances": cfg["tolerances"],
     }
@@ -231,7 +247,7 @@ def cmd_curvature(cfg):
     outputs.append(path)
     print(f"ricci matrix -> {path} (off-diagonal residual {ric.diagonality_residual:.3e})")
     if metric.variant == "cheeger" and basis.subalgebra_dim:
-        report = block_einstein_report(metric)
+        report = block_einstein_report(metric, ric)
         path = os.path.join(outdir, "block_einstein.json")
         with open(path, "w") as fh:
             json.dump({"config_hash": chash, **report}, fh, sort_keys=True, indent=2)
@@ -415,16 +431,9 @@ def _verify_checks(seed=0):
 
     # algebraic identities on every builder output
     for basis in (so3, so4, su2, su3):
-        c = basis.structure_constants
-        jac = (
-            np.einsum("ijm,mkl->ijkl", c, c)
-            + np.einsum("jkm,mil->ijkl", c, c)
-            + np.einsum("kim,mjl->ijkl", c, c)
-        )
-        yield f"jacobi-identity {basis.name}", float(np.abs(jac).max()), 1e-12
-        g = basis.biinv_gram
-        adinv = np.einsum("ijm,mk->ijk", c, g) + np.einsum("ikm,jm->ijk", c, g)
-        yield f"ad-invariance {basis.name}", float(np.abs(adinv).max()), 1e-12
+        res = basis.identity_residuals()
+        yield f"jacobi-identity {basis.name}", res["jacobi-identity"], ALGEBRA_TOL
+        yield f"ad-invariance {basis.name}", res["ad-invariance"], ALGEBRA_TOL
         worst = 0.0
         for _ in range(100):
             x = basis.element(rng.standard_normal(basis.dim))
@@ -437,10 +446,9 @@ def _verify_checks(seed=0):
         yield f"bracket-vs-commutator {basis.name}", worst, 1e-10
 
     # subalgebra split closure
-    m = su3.subalgebra_dim
-    c = su3.structure_constants
-    yield "split [h,h] in h", float(np.abs(c[:m, :m, m:]).max()), 1e-12
-    yield "split [h,hp] in hp", float(np.abs(c[:m, m:, :m]).max()), 1e-12
+    res = su3.identity_residuals()
+    for name in ("split [h,h] in h", "split [h,hp] in hp"):
+        yield name, res[name], ALGEBRA_TOL
 
     # ad* duality for every metric variant
     metrics = [
@@ -687,7 +695,7 @@ def parse_args(argv):
         if name == "locus":
             p.add_argument("--deltas", help="comma list of deformation parameters")
             p.add_argument("--angles", type=int, help="number of direction samples")
-            p.add_argument("--unit", choices=("momentum", "biinvariant", "metric"))
+            p.add_argument("--unit", choices=UNITS)
     return parser.parse_args(argv)
 
 

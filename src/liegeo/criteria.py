@@ -24,6 +24,7 @@ import scipy.linalg
 from .algebra import ad_matrix_raw, biinv_form, bracket
 from .errors import CriterionInapplicableError
 from .jacobi import ConjugateEvent, ConjugateReport
+from .roots import bisect, golden_min, sign_changes
 
 STEADY_TOL = 1e-10
 SYLVESTER_RELATIVE_CUTOFF = 1e-10
@@ -157,21 +158,17 @@ def steady_operators(m, u0):
     )
 
 
-def steady_determinant_value(crit, tau):
-    """det(e^{tau L} R e^{tau F} - e^{-tau L} R e^{-tau F})."""
-    el = scipy.linalg.expm(tau * crit.L)
-    ef = scipy.linalg.expm(tau * crit.F)
-    el_inv = scipy.linalg.expm(-tau * crit.L)
-    ef_inv = scipy.linalg.expm(-tau * crit.F)
-    return float(np.linalg.det(el @ crit.R @ ef - el_inv @ crit.R @ ef_inv))
-
-
 def _steady_criterion_matrix(crit, tau):
     el = scipy.linalg.expm(tau * crit.L)
     ef = scipy.linalg.expm(tau * crit.F)
     el_inv = scipy.linalg.expm(-tau * crit.L)
     ef_inv = scipy.linalg.expm(-tau * crit.F)
     return el @ crit.R @ ef - el_inv @ crit.R @ ef_inv
+
+
+def steady_determinant_value(crit, tau):
+    """det(e^{tau L} R e^{tau F} - e^{-tau L} R e^{-tau F})."""
+    return float(np.linalg.det(_steady_criterion_matrix(crit, tau)))
 
 
 def _multiplicity(matrix, scale, rel=1e-6):
@@ -186,63 +183,45 @@ def steady_determinant_scan(crit, horizon, samples=4000):
     """Scan the criterion determinant on (0, horizon] and refine its zeros.
 
     Sign flips are bisected; even-order touches (the determinant dips to
-    zero without flipping) are refined by golden-section on |det|.  Reported
+    zero without flipping) are refined by golden-section on |det|.  A dip
+    that refines to a zero across which the determinant flips is a simple
+    root whose partner lies in the same bracket of equal-sign samples; the
+    partner is bisected on the side whose ends differ in sign.  Reported
     conjugate times are the geodesic times 2*tau; the determinant parameters
     tau themselves are kept on the report as ``taus``.
     """
     if crit.status != "applicable":
         raise CriterionInapplicableError(f"steady criterion status: {crit.status}")
     taus = np.linspace(0.0, horizon, samples + 1)[1:]
-    vals = np.array([steady_determinant_value(crit, t) for t in taus])
-    events = []
+    h_grid = float(taus[1] - taus[0])
 
-    def refine_sign_change(a, b, fa, fb):
-        while b - a > 1e-12:
-            mid = 0.5 * (a + b)
-            fm = steady_determinant_value(crit, mid)
-            if (fa < 0) != (fm < 0):
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-        return 0.5 * (a + b)
+    def det(tau):
+        return steady_determinant_value(crit, tau)
 
-    def golden_min_absdet(a, b):
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = abs(steady_determinant_value(crit, c)), abs(
-            steady_determinant_value(crit, d)
-        )
-        while b - a > 1e-12:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = abs(steady_determinant_value(crit, c))
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = abs(steady_determinant_value(crit, d))
-        return 0.5 * (a + b)
-
-    for i in range(len(taus) - 1):
-        if vals[i] == 0.0 and taus[i] > 0:
-            events.append((taus[i], "det-sign-change"))
-        elif (vals[i] < 0) != (vals[i + 1] < 0):
-            events.append(
-                (refine_sign_change(taus[i], taus[i + 1], vals[i], vals[i + 1]),
-                 "det-sign-change")
-            )
+    vals = np.array([det(t) for t in taus])
+    events = [(tau, "det-sign-change") for tau in sign_changes(det, taus, vals, 1e-12)]
     # even-order touches: |det| local minima that refine to machine zero
     for i in range(1, len(taus) - 1):
         v = abs(vals[i])
         local = max(abs(vals[i - 1]), abs(vals[i + 1]))
         if v <= abs(vals[i - 1]) and v <= abs(vals[i + 1]) and local > 0:
-            tau = golden_min_absdet(taus[i - 1], taus[i + 1])
-            if abs(steady_determinant_value(crit, tau)) >= 1e-9 * local:
+            a, b = float(taus[i - 1]), float(taus[i + 1])
+            tau = golden_min(lambda t: abs(det(t)), a, b, 1e-12)
+            if abs(det(tau)) >= 1e-9 * local:
                 continue
-            if all(abs(tau - e[0]) > 2 * (taus[1] - taus[0]) for e in events):
+            if any(abs(tau - e[0]) <= 2 * h_grid for e in events):
+                continue
+            lo, hi = tau - 1e-6 * h_grid, tau + 1e-6 * h_grid
+            det_lo, det_hi = det(lo), det(hi)
+            if (det_lo < 0) == (det_hi < 0):
                 events.append((tau, "det-dip"))
+                continue
+            if (vals[i - 1] < 0) != (det_lo < 0):
+                partner = bisect(det, a, lo, vals[i - 1], 1e-12)
+            else:
+                partner = bisect(det, hi, b, det_hi, 1e-12)
+            events += [(tau, "det-sign-change"), (partner, "det-sign-change")]
     events.sort()
-    h_grid = float(taus[1] - taus[0])
     report_events = []
     for tau, kind in events:
         # neighboring values set the scale in case the matrix vanishes entirely
@@ -250,12 +229,13 @@ def steady_determinant_scan(crit, horizon, samples=4000):
             np.linalg.norm(_steady_criterion_matrix(crit, tau + h_grid), 2),
             np.linalg.norm(_steady_criterion_matrix(crit, max(tau - h_grid, 0.0)), 2),
         )
+        matrix = _steady_criterion_matrix(crit, tau)
         report_events.append(
             ConjugateEvent(
                 time=2.0 * tau,
-                multiplicity=_multiplicity(_steady_criterion_matrix(crit, tau), scale),
+                multiplicity=_multiplicity(matrix, scale),
                 method="criterion",
-                det=steady_determinant_value(crit, tau),
+                det=float(np.linalg.det(matrix)),
             )
         )
     report = ConjugateReport(
@@ -333,25 +313,10 @@ def block_functions(eps, alpha, beta, lam):
 
 
 def _first_zero(fn, horizon, samples=8000):
-    """First sign change or touch of fn on (0, horizon], refined by bisection."""
+    """First zero of fn on (0, horizon]: an exact zero or a bisected sign change."""
     ts = np.linspace(0.0, horizon, samples + 1)[1:]
     vals = np.array([fn(t) for t in ts])
-    prev_t, prev_v = ts[0], vals[0]
-    for t, v in zip(ts[1:], vals[1:]):
-        if v == 0.0:
-            return float(t)
-        if (prev_v < 0) != (v < 0):
-            a, b, fa = prev_t, t, prev_v
-            while b - a > 1e-12:
-                mid = 0.5 * (a + b)
-                fm = fn(mid)
-                if (fa < 0) != (fm < 0):
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            return float(0.5 * (a + b))
-        prev_t, prev_v = t, v
-    return None
+    return next(sign_changes(fn, ts, vals, 1e-12), None)
 
 
 def commuting_block_scan(m, u0):

@@ -235,18 +235,20 @@ def block_einstein_constants(beta_g, beta_h, delta):
     return c1, c2
 
 
-def block_einstein_report(m):
+def block_einstein_report(m, ric=None):
     """Compare the numeric Ricci with the block constants; JSON-able dict.
 
     The blocks are measured against the bi-invariant Gram: Ric(v,v) =
-    C1 |P v|^2 + C2 |Q v|^2.
+    C1 |P v|^2 + C2 |Q v|^2.  Pass the RicciResult of m as ``ric`` when it
+    is already at hand; otherwise it is computed here.
     """
     basis = m.basis
     if m.variant != "cheeger":
         raise UnsupportedSplitError("block-Einstein report needs a Cheeger metric")
     beta_g, beta_h = beta_constants(basis)
     c1, c2 = block_einstein_constants(beta_g, beta_h, m.delta)
-    ric = ricci_matrix(m)
+    if ric is None:
+        ric = ricci_matrix(m)
     split = basis.subalgebra_dim
     expected = np.diag(
         np.concatenate([np.full(split, c1), np.full(basis.dim - split, c2)])

@@ -6,6 +6,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, GroupElement, expm_skew
 from .errors import IntegrationDivergedError, MetricConstructionError
+from .roots import golden_min
 
 CONSERVATION_TOL = 1e-9
 
@@ -126,6 +127,25 @@ class GeodesicTrajectory:
                 fh.write(",".join(row) + "\n")
 
 
+def rk4_step(metric, mats, u, gamma, h):
+    """One classical RK4 step of u' = ad*_u u, gamma' = gamma u (no retraction)."""
+    k1u = metric.ad_star_raw(u, u)
+    k1g = gamma @ np.tensordot(u, mats, axes=1)
+    u2, g2 = u + 0.5 * h * k1u, gamma + 0.5 * h * k1g
+    k2u = metric.ad_star_raw(u2, u2)
+    k2g = g2 @ np.tensordot(u2, mats, axes=1)
+    u3, g3 = u + 0.5 * h * k2u, gamma + 0.5 * h * k2g
+    k3u = metric.ad_star_raw(u3, u3)
+    k3g = g3 @ np.tensordot(u3, mats, axes=1)
+    u4, g4 = u + h * k3u, gamma + h * k3g
+    k4u = metric.ad_star_raw(u4, u4)
+    k4g = g4 @ np.tensordot(u4, mats, axes=1)
+    return (
+        u + h / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u),
+        gamma + h / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g),
+    )
+
+
 def default_step(T):
     return min(1e-3, T / 2000.0)
 
@@ -149,9 +169,6 @@ def integrate_euler_arnold(metric, u0, T, dt=None, retract_every=1):
     dt = T / n_steps
     mats = basis.basis_matrices
 
-    def u_rhs(u):
-        return metric.ad_star_raw(u, u)
-
     u = np.array(u0.coords)
     gamma = np.eye(basis.matrix_size, dtype=mats.dtype)
     gram = basis.biinv_gram
@@ -167,22 +184,7 @@ def integrate_euler_arnold(metric, u0, T, dt=None, retract_every=1):
     velocities[0], frames[0], conserved[0] = u, gamma, conserved_pair(u)
 
     for step in range(n_steps):
-        k1u = u_rhs(u)
-        k1g = gamma @ np.tensordot(u, mats, axes=1)
-        u2 = u + 0.5 * dt * k1u
-        g2 = gamma + 0.5 * dt * k1g
-        k2u = u_rhs(u2)
-        k2g = g2 @ np.tensordot(u2, mats, axes=1)
-        u3 = u + 0.5 * dt * k2u
-        g3 = gamma + 0.5 * dt * k2g
-        k3u = u_rhs(u3)
-        k3g = g3 @ np.tensordot(u3, mats, axes=1)
-        u4 = u + dt * k3u
-        g4 = gamma + dt * k3g
-        k4u = u_rhs(u4)
-        k4g = g4 @ np.tensordot(u4, mats, axes=1)
-        u = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        gamma = gamma + dt / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
+        u, gamma = rk4_step(metric, mats, u, gamma, dt)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(gamma))):
             raise IntegrationDivergedError(
                 f"non-finite state at t={times[step + 1]:.6g}",
@@ -244,7 +246,6 @@ def closed_biinvariant_time(metric, u0, horizon, n_samples=4096, tol=1e-8):
 
     ts = np.linspace(0.0, horizon, n_samples + 1)[1:]
     vals = np.sqrt(np.sum(np.abs(np.exp(-1j * np.outer(ts, w)) - 1.0) ** 2, axis=1))
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
     # earliest closing time wins: walk the local minima in time order
     candidates = [
         i
@@ -256,21 +257,7 @@ def closed_biinvariant_time(metric, u0, horizon, n_samples=4096, tol=1e-8):
     for i in candidates:
         lo = ts[max(i - 1, 0)] if i > 0 else ts[i] / 2.0
         hi = ts[min(i + 1, len(ts) - 1)]
-        a, b = lo, hi
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = defect(c), defect(d)
-        for _ in range(200):
-            if b - a < 1e-14 * max(1.0, b):
-                break
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = defect(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = defect(d)
-        t_min = (a + b) / 2.0
+        t_min = golden_min(defect, lo, hi, 0.0, rtol=1e-14)
         if defect(t_min) < tol:
             return float(t_min)
     return None

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Ad_matrix, AlgebraElement, GroupElement, ad_matrix_raw
+from .dynamics import rk4_step
 from .errors import CriterionInapplicableError
+from .roots import golden_min, sign_changes
 
 SIGMA_REL_THRESHOLD = 1e-6
 TIME_TOLERANCE = 1e-9
@@ -230,19 +232,6 @@ class _OmegaEvaluator:
         return float(np.linalg.det(self.omega(t)))
 
 
-def _bisect(f, a, b, fa, fb, xtol):
-    while b - a > xtol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0) != (fm < 0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
 def find_conjugate_times(
     traj,
     horizon=None,
@@ -253,7 +242,8 @@ def find_conjugate_times(
 
     Determinant sign flips are refined by bisection; even-multiplicity
     touches (no sign flip) are caught as local minima of sigma_min below the
-    relative threshold and refined by a three-point quadratic fit.
+    relative threshold and refined by golden-section search when a
+    three-point quadratic fit of sigma_min^2 opens upward.
     """
     if horizon is None:
         horizon = traj.duration()
@@ -287,33 +277,12 @@ def find_conjugate_times(
             ConjugateEvent(float(t), max(mult, 1), method, det=det, sigma_min=smin)
         )
 
-    for i in range(i0, len(ts) - 1):
-        if dets[i] == 0.0:
-            add_event(float(ts[i]), "det-sign-change")
-        elif (dets[i] < 0) != (dets[i + 1] < 0):
-            t = _bisect(
-                ev.det, float(ts[i]), float(ts[i + 1]), dets[i], dets[i + 1], time_tol
-            )
-            add_event(t, "det-sign-change")
+    for t in sign_changes(ev.det, ts[i0:], dets[i0:], time_tol):
+        add_event(t, "det-sign-change")
 
     def sigma_at(t):
         s = np.linalg.svd(ev.omega(t), compute_uv=False)
         return float(s[-1])
-
-    def golden_min(a, b):
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = sigma_at(c), sigma_at(d)
-        while b - a > time_tol:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = sigma_at(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = sigma_at(d)
-        return 0.5 * (a + b)
 
     # even-multiplicity touches: loose local-minimum trigger on the ratio,
     # then refine and keep only dips that reach the relative threshold
@@ -329,7 +298,7 @@ def find_conjugate_times(
             f0, f1, f2 = sig_min[i - 1] ** 2, sig_min[i] ** 2, sig_min[i + 1] ** 2
             denom = (t0 - t1) * (t0 - t2) * (t1 - t2)
             a = (t2 * (f1 - f0) + t1 * (f0 - f2) + t0 * (f2 - f1)) / denom
-            t_star = golden_min(t0, t2) if a > 0 else t1
+            t_star = golden_min(sigma_at, t0, t2, time_tol) if a > 0 else t1
             add_event(float(t_star), "sigma-min-dip")
 
     events.sort(key=lambda e: e.time)
@@ -363,25 +332,11 @@ def _state_at_time(traj, t):
     t0 = float(traj.times[i])
     if t <= t0:
         return u, gamma
-    mats = traj.basis.basis_matrices
-    metric = traj.metric
     h_max = float(traj.times[1] - traj.times[0])
     n = max(1, int(np.ceil((t - t0) / h_max)))
     h = (t - t0) / n
-    for k in range(n):
-        k1u = metric.ad_star_raw(u, u)
-        k1g = gamma @ np.tensordot(u, mats, axes=1)
-        u2, g2 = u + 0.5 * h * k1u, gamma + 0.5 * h * k1g
-        k2u = metric.ad_star_raw(u2, u2)
-        k2g = g2 @ np.tensordot(u2, mats, axes=1)
-        u3, g3 = u + 0.5 * h * k2u, gamma + 0.5 * h * k2g
-        k3u = metric.ad_star_raw(u3, u3)
-        k3g = g3 @ np.tensordot(u3, mats, axes=1)
-        u4, g4 = u + h * k3u, gamma + h * k3g
-        k4u = metric.ad_star_raw(u4, u4)
-        k4g = g4 @ np.tensordot(u4, mats, axes=1)
-        u = u + h / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        gamma = gamma + h / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
+    for _ in range(n):
+        u, gamma = rk4_step(traj.metric, traj.basis.basis_matrices, u, gamma, h)
     return u, gamma
 
 

@@ -16,6 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .roots import bisect
+
+UNITS = ("momentum", "biinvariant", "metric")
+
 
 def berger_R(delta, p_norm, q_norm):
     return float(np.sqrt((1.0 + delta) ** 2 * p_norm**2 + q_norm**2))
@@ -72,17 +76,7 @@ def berger_first_conjugate_time(delta, p_norm, q_norm):
 
     lo = np.pi / (2.0 * r) * (1.0 + 1e-13)
     hi = np.pi / r * (1.0 - 1e-13)
-    flo, fhi = fn(lo), fn(hi)
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if (flo < 0) != (fm < 0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return BergerFirstConjugate(0.5 * (lo + hi), "tan-root")
+    return BergerFirstConjugate(bisect(fn, lo, hi, fn(lo), 1e-12), "tan-root")
 
 
 @dataclass
@@ -117,8 +111,8 @@ def generate_locus_slice(delta, n_angles=720, unit="momentum"):
     """
     if n_angles < 8:
         raise ValueError("n_angles must be at least 8")
-    if unit not in ("momentum", "biinvariant", "metric"):
-        raise ValueError("unit must be 'momentum', 'biinvariant' or 'metric'")
+    if unit not in UNITS:
+        raise ValueError(f"unit must be one of {UNITS}")
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     t_star = np.empty(n_angles)
     branch = []

@@ -1,0 +1,69 @@
+"""Bracketed root and minimum refinement shared by every conjugate-time route.
+
+Textbook bisection and golden-section search (Brent, *Algorithms for
+Minimization without Derivatives*, 1973), plus the sampled sign-change walk
+that feeds bisection.  Both loops stop after MAX_ITER iterations, so a zero
+tolerance still terminates.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+MAX_ITER = 200
+INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def bisect(f, a, b, fa, xtol):
+    """Root of f in [a, b], where f(a) = fa and f(b) differ in sign.
+
+    Halves the bracket until it is no longer than xtol and returns its
+    midpoint; a midpoint where f is exactly zero is returned at once.
+    """
+    for _ in range(MAX_ITER):
+        if b - a <= xtol:
+            break
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fa < 0) != (fm < 0):
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def golden_min(f, a, b, xtol, rtol=0.0):
+    """Minimizer of a unimodal f on [a, b] by golden-section search.
+
+    Stops once the bracket is no longer than max(xtol, rtol * max(1, b)).
+    """
+    c, d = b - INVPHI * (b - a), a + INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(MAX_ITER):
+        if b - a <= max(xtol, rtol * max(1.0, b)):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INVPHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def sign_changes(f, ts, vals, xtol):
+    """Roots of f along the samples vals = f(ts), in order, found lazily.
+
+    A sample that is exactly zero is a root; a sign flip on [t_i, t_{i+1}]
+    is bisected to xtol.  Bisection runs only when the next root is asked
+    for, so a caller that needs the first root does no further work.
+    """
+    for i in range(len(ts) - 1):
+        if vals[i] == 0.0:
+            yield float(ts[i])
+        elif (vals[i] < 0) != (vals[i + 1] < 0):
+            yield bisect(f, float(ts[i]), float(ts[i + 1]), vals[i], xtol)

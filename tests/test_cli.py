@@ -42,6 +42,22 @@ def test_normalize_rejects_bad_fields():
         normalize_config({"criterion": "nope"})
     with pytest.raises(ConfigError):
         normalize_config({"deltas": [-2.0]})
+    bad = [
+        {"tolerances": {"time_tol": 0}},
+        {"tolerances": {"time_tol": -1}},
+        {"tolerances": {"time_tol": float("inf")}},
+        {"tolerances": {"time_tol": "fine"}},
+        {"tolerances": {"sigma_rel_threshold": -1}},
+        {"tolerances": {"sigma_rel_threshold": 0}},
+        {"tolerances": {"sigma_rel_threshold": 1}},
+        {"tolerances": {"sigma_rel_threshold": float("nan")}},
+        {"angles": 4},
+        {"T": 1, "dt": 2},
+        {"unit": "bogus"},
+    ]
+    for raw in bad:
+        with pytest.raises(ConfigError):
+            normalize_config(raw)
 
 
 def test_config_hash_stable():
@@ -110,6 +126,24 @@ def test_exit_codes(tmp_path):
         ]
     )
     assert code == EXIT_INAPPLICABLE
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["locus", "--angles", "4"],
+        ["geodesic", "--T", "1", "--dt", "2"],
+        ["curvature", "--metric", "generic", "nofile.json"],
+        ["locus", "--config", "{dir}/unit.json"],
+        ["conjugate", "--config", "{dir}/tol.json"],
+    ],
+    ids=["angles", "dt-over-T", "missing-matrix-file", "unit", "time-tol"],
+)
+def test_bad_input_exits_with_config_error(tmp_path, args):
+    (tmp_path / "unit.json").write_text(json.dumps({"unit": "bogus"}))
+    (tmp_path / "tol.json").write_text(json.dumps({"tolerances": {"time_tol": 0}}))
+    argv = [a.format(dir=tmp_path) for a in args] + ["--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_CONFIG
 
 
 def test_locus_cli_and_determinism(tmp_path):

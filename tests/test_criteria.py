@@ -19,7 +19,7 @@ from liegeo import (
     steady_determinant_scan,
     steady_operators,
 )
-from liegeo.algebra import ad_matrix_raw
+from liegeo.algebra import ad_matrix_raw, build_so_basis
 from liegeo.criteria import steady_determinant_value
 
 
@@ -113,6 +113,21 @@ def test_det_scan_matches_block_scan(so3, so4, rigid3, rng):
         crit = steady_operators(m, u0)
         scan = steady_determinant_scan(crit, horizon=0.75 * block_rep.first_time())
         assert scan.first_time() == pytest.approx(block_rep.first_time(), abs=1e-5)
+
+
+def test_det_scan_resolves_two_zeros_within_one_step():
+    # two block-function zeros 1.7e-5 apart in tau, well inside one scan step
+    so6 = build_so_basis(6)
+    mu = [2.0170291789243997, 3.364176307160545, 1.6498900074163851,
+          1.398828382928375, 3.1472802488066316, 1.1508281450968572]
+    m = MetricOperator.rigid_body(so6, mu)
+    u0 = so6.element_by_label("e45")
+    _, block_rep = commuting_block_scan(m, u0)
+    scan = steady_determinant_scan(steady_operators(m, u0), horizon=4.0)
+    block_times = [t for t in block_rep.times if t <= 8.0]
+    assert len(block_times) == 7
+    assert scan.times == pytest.approx(block_times, abs=1e-7)
+    assert [e.multiplicity for e in scan.events] == [1] * 7
 
 
 def test_nonrigid_negative_ricci_still_conjugate(so4):
