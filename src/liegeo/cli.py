@@ -57,7 +57,12 @@ from .dynamics import (
     closed_biinvariant_time,
     integrate_euler_arnold,
 )
-from .errors import ConfigError, CriterionInapplicableError, LieGeoError
+from .errors import (
+    ConfigError,
+    CriterionInapplicableError,
+    LieGeoError,
+    UnsupportedSplitError,
+)
 from .jacobi import (
     closed_geodesic_conjugacy,
     find_conjugate_times,
@@ -97,8 +102,12 @@ DEFAULTS = {
 # -- config handling -----------------------------------------------------------------
 
 
-def normalize_config(raw):
-    """Fill defaults and canonicalize; raises ConfigError on bad fields."""
+def normalize_config(raw, command=None):
+    """Fill defaults and canonicalize; raises ConfigError on bad fields.
+
+    ``command`` names the subcommand the config is for, when known, so that
+    limits of a single route can be checked here too.
+    """
     cfg = json.loads(json.dumps(DEFAULTS))
     for key, val in raw.items():
         if key not in DEFAULTS:
@@ -114,8 +123,13 @@ def normalize_config(raw):
                 raise ConfigError(f"{field} must be a positive finite number")
     if cfg["criterion"] is not None and cfg["criterion"] not in CRITERIA:
         raise ConfigError(f"criterion must be one of {CRITERIA}")
-    if cfg["dt"] is not None and cfg["T"] is not None and cfg["dt"] > cfg["T"]:
-        raise ConfigError("dt must not exceed T")
+    if cfg["dt"] is not None and cfg["T"] is not None:
+        if cfg["dt"] > cfg["T"]:
+            raise ConfigError("dt must not exceed T")
+        # the numeric conjugate route interpolates on at least three grid points
+        numeric_route = command == "conjugate" and cfg["criterion"] is None
+        if numeric_route and round(cfg["T"] / cfg["dt"]) < 2:
+            raise ConfigError("numeric conjugate route: T/dt must round to at least 2")
     tol = cfg["tolerances"]
     try:
         time_tol, sigma = float(tol["time_tol"]), float(tol["sigma_rel_threshold"])
@@ -301,7 +315,12 @@ def _criterion_document(cfg, metric, u0):
         }
         return criterion_report_json(doc), True
     if name == "cheeger":
-        p0, q0 = project_h(u0), project_h_perp(u0)
+        if metric.variant != "cheeger":
+            raise CriterionInapplicableError("the Cheeger criterion needs a Cheeger metric")
+        try:
+            p0, q0 = project_h(u0), project_h_perp(u0)
+        except UnsupportedSplitError as exc:
+            raise CriterionInapplicableError(str(exc))
         ok = cheeger_nonsteady_condition(metric.delta, p0, q0)
         doc = {
             "criterion": "cheeger",
@@ -725,7 +744,7 @@ def config_from_args(args):
         raw["angles"] = args.angles
     if getattr(args, "unit", None):
         raw["unit"] = args.unit
-    return normalize_config(raw)
+    return normalize_config(raw, args.command)
 
 
 COMMANDS = {

@@ -29,6 +29,7 @@ from .roots import bisect, golden_min, sign_changes
 STEADY_TOL = 1e-10
 SYLVESTER_RELATIVE_CUTOFF = 1e-10
 COMMUTATION_TOL = 1e-9
+GRID_BLOCK = 256           # tau samples per stacked determinant evaluation
 
 
 # -- general steady criterion -------------------------------------------------------
@@ -171,6 +172,39 @@ def steady_determinant_value(crit, tau):
     return float(np.linalg.det(_steady_criterion_matrix(crit, tau)))
 
 
+def _first_powers(step, count):
+    """Stack of step^1 .. step^count by doubling: step^{m+j} = step^j step^m."""
+    powers = np.empty((count,) + step.shape)
+    powers[0] = step
+    m = 1
+    while m < count:
+        k = min(m, count - m)
+        powers[m : m + k] = powers[:k] @ powers[m - 1]
+        m += k
+    return powers
+
+
+def steady_determinant_grid(crit, h, count):
+    """steady_determinant_value at tau_k = k h for k = 1..count, as one array.
+
+    On a uniform grid e^{+-tau_k L} and e^{+-tau_k F} are the k-th powers of
+    the four one-step exponentials, so they are built by matrix products
+    rather than by an ``expm`` per sample.  Powers, unlike a diagonalization,
+    need no eigenvector conditioning and so also serve a defective or
+    hyperbolic F.  Samples go in blocks of GRID_BLOCK to bound memory.
+    """
+    steps = [scipy.linalg.expm(s * h * a) for a in (crit.L, crit.F) for s in (1.0, -1.0)]
+    powers = [_first_powers(e, min(count, GRID_BLOCK)) for e in steps]
+    carry = [np.eye(len(e)) for e in steps]
+    vals = np.empty(count)
+    for start in range(0, count, GRID_BLOCK):
+        k = min(GRID_BLOCK, count - start)
+        el, el_inv, ef, ef_inv = (p[:k] @ c for p, c in zip(powers, carry))
+        vals[start : start + k] = np.linalg.det(el @ crit.R @ ef - el_inv @ crit.R @ ef_inv)
+        carry = [c @ p[-1] for p, c in zip(powers, carry)]
+    return vals
+
+
 def _multiplicity(matrix, scale, rel=1e-6):
     s = np.linalg.svd(matrix, compute_uv=False)
     ref = max(float(s[0]), scale)
@@ -198,29 +232,30 @@ def steady_determinant_scan(crit, horizon, samples=4000):
     def det(tau):
         return steady_determinant_value(crit, tau)
 
-    vals = np.array([det(t) for t in taus])
+    vals = steady_determinant_grid(crit, horizon / samples, samples)
     events = [(tau, "det-sign-change") for tau in sign_changes(det, taus, vals, 1e-12)]
     # even-order touches: |det| local minima that refine to machine zero
-    for i in range(1, len(taus) - 1):
-        v = abs(vals[i])
+    mag = np.abs(vals)
+    left, mid, right = mag[:-2], mag[1:-1], mag[2:]
+    dips = (mid <= left) & (mid <= right) & (np.maximum(left, right) > 0)
+    for i in np.flatnonzero(dips) + 1:
         local = max(abs(vals[i - 1]), abs(vals[i + 1]))
-        if v <= abs(vals[i - 1]) and v <= abs(vals[i + 1]) and local > 0:
-            a, b = float(taus[i - 1]), float(taus[i + 1])
-            tau = golden_min(lambda t: abs(det(t)), a, b, 1e-12)
-            if abs(det(tau)) >= 1e-9 * local:
-                continue
-            if any(abs(tau - e[0]) <= 2 * h_grid for e in events):
-                continue
-            lo, hi = tau - 1e-6 * h_grid, tau + 1e-6 * h_grid
-            det_lo, det_hi = det(lo), det(hi)
-            if (det_lo < 0) == (det_hi < 0):
-                events.append((tau, "det-dip"))
-                continue
-            if (vals[i - 1] < 0) != (det_lo < 0):
-                partner = bisect(det, a, lo, vals[i - 1], 1e-12)
-            else:
-                partner = bisect(det, hi, b, det_hi, 1e-12)
-            events += [(tau, "det-sign-change"), (partner, "det-sign-change")]
+        a, b = float(taus[i - 1]), float(taus[i + 1])
+        tau = golden_min(lambda t: abs(det(t)), a, b, 1e-12)
+        if abs(det(tau)) >= 1e-9 * local:
+            continue
+        if any(abs(tau - e[0]) <= 2 * h_grid for e in events):
+            continue
+        lo, hi = tau - 1e-6 * h_grid, tau + 1e-6 * h_grid
+        det_lo, det_hi = det(lo), det(hi)
+        if (det_lo < 0) == (det_hi < 0):
+            events.append((tau, "det-dip"))
+            continue
+        if (vals[i - 1] < 0) != (det_lo < 0):
+            partner = bisect(det, a, lo, vals[i - 1], 1e-12)
+        else:
+            partner = bisect(det, hi, b, det_hi, 1e-12)
+        events += [(tau, "det-sign-change"), (partner, "det-sign-change")]
     events.sort()
     report_events = []
     for tau, kind in events:
@@ -295,7 +330,7 @@ def _generalized_trig(d):
     if d < 0:
         r = np.sqrt(-d)
         return (lambda t: np.cosh(r * t)), (lambda t: np.sinh(r * t) / r), r
-    return (lambda t: 1.0), (lambda t: t), 0.0
+    return (lambda t: np.ones_like(t)), (lambda t: t), 0.0
 
 
 def block_functions(eps, alpha, beta, lam):
@@ -313,9 +348,12 @@ def block_functions(eps, alpha, beta, lam):
 
 
 def _first_zero(fn, horizon, samples=8000):
-    """First zero of fn on (0, horizon]: an exact zero or a bisected sign change."""
+    """First zero of fn on (0, horizon]: an exact zero or a bisected sign change.
+
+    fn is evaluated once over the whole sample grid, so it must broadcast.
+    """
     ts = np.linspace(0.0, horizon, samples + 1)[1:]
-    vals = np.array([fn(t) for t in ts])
+    vals = fn(ts)
     return next(sign_changes(fn, ts, vals, 1e-12), None)
 
 

@@ -62,8 +62,10 @@ def sign_changes(f, ts, vals, xtol):
     is bisected to xtol.  Bisection runs only when the next root is asked
     for, so a caller that needs the first root does no further work.
     """
-    for i in range(len(ts) - 1):
+    vals = np.asarray(vals, dtype=float)
+    head, tail = vals[:-1], vals[1:]
+    for i in np.flatnonzero((head == 0.0) | ((head < 0) != (tail < 0))):
         if vals[i] == 0.0:
             yield float(ts[i])
-        elif (vals[i] < 0) != (vals[i + 1] < 0):
+        else:
             yield bisect(f, float(ts[i]), float(ts[i + 1]), vals[i], xtol)

@@ -128,6 +128,34 @@ def test_exit_codes(tmp_path):
     assert code == EXIT_INAPPLICABLE
 
 
+def test_cheeger_criterion_off_its_hypotheses_is_inapplicable(tmp_path):
+    # the default so(3) has no subalgebra split to project u0 onto
+    code = main(["conjugate", "--criterion", "cheeger", "--out", str(tmp_path / "c")])
+    assert code == EXIT_INAPPLICABLE
+    # a split group, but a metric that is not a Cheeger deformation
+    code = main(
+        [
+            "conjugate",
+            "--group", "su3-with-so3",
+            "--metric", "biinvariant",
+            "--u0", "0.4,0.1,0.3;0.2,0.5,0.1,0.2,0.3",
+            "--criterion", "cheeger",
+            "--out", str(tmp_path / "b"),
+        ]
+    )
+    assert code == EXIT_INAPPLICABLE
+
+
+def test_one_step_grid_only_rejected_on_numeric_conjugate_route(tmp_path):
+    # T/dt rounds to one step: a geodesic is fine, the numeric conjugate route is not
+    argv = ["--T", "1", "--dt", "0.7", "--out", str(tmp_path / "g")]
+    assert main(["geodesic", *argv]) == EXIT_OK
+    cfg = {"T": 1, "dt": 0.7}
+    assert normalize_config(cfg) == normalize_config(cfg, "geodesic")
+    with pytest.raises(ConfigError):
+        normalize_config(cfg, "conjugate")
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -136,8 +164,9 @@ def test_exit_codes(tmp_path):
         ["curvature", "--metric", "generic", "nofile.json"],
         ["locus", "--config", "{dir}/unit.json"],
         ["conjugate", "--config", "{dir}/tol.json"],
+        ["conjugate", "--T", "1", "--dt", "0.7"],
     ],
-    ids=["angles", "dt-over-T", "missing-matrix-file", "unit", "time-tol"],
+    ids=["angles", "dt-over-T", "missing-matrix-file", "unit", "time-tol", "one-step-grid"],
 )
 def test_bad_input_exits_with_config_error(tmp_path, args):
     (tmp_path / "unit.json").write_text(json.dumps({"unit": "bogus"}))

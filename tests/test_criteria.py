@@ -20,7 +20,16 @@ from liegeo import (
     steady_operators,
 )
 from liegeo.algebra import ad_matrix_raw, build_so_basis
-from liegeo.criteria import steady_determinant_value
+from liegeo.criteria import (
+    GRID_BLOCK,
+    _first_zero,
+    _generalized_trig,
+    _steady_criterion_matrix,
+    block_functions,
+    steady_determinant_grid,
+    steady_determinant_value,
+)
+from liegeo.roots import sign_changes
 
 
 def test_steady_operators_so3(so3, rigid3):
@@ -72,6 +81,62 @@ def test_determinant_nonzero_near_zero(so3, rigid3):
     # M(tau) ~ 2 tau I for small tau
     val = steady_determinant_value(crit, 1e-4)
     assert val == pytest.approx((2e-4) ** 2, rel=1e-3)
+
+
+def _grid_bodies():
+    """Steady axes on so(3)..so(6), plus a hyperbolic and a defective F."""
+    rng = np.random.default_rng(5)
+    bodies = []
+    for n in (3, 4, 5, 6):
+        mu = rng.uniform(1.0, 4.0, n)
+        i, j = sorted(int(k) for k in rng.choice(n, 2, replace=False))
+        m = MetricOperator.rigid_body(build_so_basis(n), mu)
+        bodies.append((m, f"e{i + 1}{j + 1}", None))
+    so3 = build_so_basis(3)
+    # middle axis: one block with d < 0; Lambda eigenvalue equal to lambda: d = 0
+    bodies.append((MetricOperator.rigid_body(so3, [1.0, 2.0, 3.0]), "e13", -1))
+    bodies.append((MetricOperator.diagonal(so3, [1.0, 1.0, 2.0]), "e12", 0))
+    return bodies
+
+
+@pytest.mark.parametrize("count", [50, 4001])
+def test_determinant_grid_matches_expm_loop(count):
+    assert count % GRID_BLOCK != 0
+    h = 4.0 / count
+    for m, label, d_sign in _grid_bodies():
+        u0 = m.basis.element_by_label(label)
+        if d_sign is not None:
+            data, _ = commuting_block_scan(m, u0)
+            assert [np.sign(round(b.d, 12)) for b in data.blocks] == [d_sign]
+        crit = steady_operators(m, u0)
+        grid = steady_determinant_grid(crit, h, count)
+        taus = h * np.arange(1, count + 1)
+        mats = np.array([_steady_criterion_matrix(crit, t) for t in taus])
+        loop = np.array([steady_determinant_value(crit, t) for t in taus])
+        assert np.array_equal(loop, np.linalg.det(mats))
+        # a determinant's rounding scale is the n-th power of its matrix norm
+        scale = np.linalg.norm(mats, 2, axis=(1, 2)) ** mats.shape[1]
+        assert np.all(np.abs(grid - loop) <= 1e-11 * scale), (m.basis.name, label)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, d_sign",
+    [(2.0, 2.5, 1), (1.0, 2.0, -1), (1.5, 2.5, 0)],
+    ids=["elliptic", "hyperbolic", "defective"],
+)
+def test_first_zero_matches_scalar_loop(alpha, beta, d_sign):
+    eps, lam = 1.0, 1.5
+    f, g, d, r = block_functions(eps, alpha, beta, lam)
+    assert np.sign(d) == d_sign
+    horizon = 3.0 * max(2 * np.pi / eps, 2 * np.pi / r if r > 0 else 0.0)
+    ts = np.linspace(0.0, horizon, 8001)[1:]
+    c, s, _ = _generalized_trig(d)
+    assert np.shape(c(ts)) == np.shape(s(ts)) == ts.shape
+    for fn in (f, g):
+        vals = np.array([fn(t) for t in ts])
+        want = next(sign_changes(fn, ts, vals, 1e-12), None)
+        assert want is not None
+        assert _first_zero(fn, horizon) == want
 
 
 def test_commuting_block_scan_so3(so3, rigid3):
