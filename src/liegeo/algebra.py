@@ -346,7 +346,8 @@ def ad_matrix(x):
 
 
 def ad_matrix_raw(basis, coords):
-    return np.einsum("i,ijk->kj", coords, basis.structure_constants)
+    """Matrix of ad_u on coordinates; a (..., dim) stack gives (..., dim, dim)."""
+    return np.einsum("...i,ijk->...kj", coords, basis.structure_constants)
 
 
 def _is_skew_hermitian(m, tol=1e-12):

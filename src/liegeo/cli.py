@@ -126,7 +126,7 @@ def normalize_config(raw, command=None):
     if cfg["dt"] is not None and cfg["T"] is not None:
         if cfg["dt"] > cfg["T"]:
             raise ConfigError("dt must not exceed T")
-        # the numeric conjugate route interpolates on at least three grid points
+        # the numeric conjugate route scans Omega on at least three grid points
         numeric_route = command == "conjugate" and cfg["criterion"] is None
         if numeric_route and round(cfg["T"] / cfg["dt"]) < 2:
             raise ConfigError("numeric conjugate route: T/dt must round to at least 2")

@@ -31,8 +31,9 @@ class GeodesicTrajectory:
     """Sampled geodesic: times, algebra velocities u(t_i), group frames gamma(t_i).
 
     Stores the conserved pair (k, l) = (g(u,u), <Lambda u, Lambda u>) per
-    sample; their relative drift is the integrator's health metric.  Velocity
-    interpolation between samples is cubic Hermite with slopes ad*_u u.
+    sample; their relative drift is the integrator's health metric.  There is
+    no interpolation between samples: u off the grid comes from the RK4
+    stages of the step that starts at the sample before it (``rk4_stages``).
     """
 
     def __init__(self, metric, times, velocities, frames, conserved):
@@ -42,9 +43,7 @@ class GeodesicTrajectory:
         self.velocities = np.asarray(velocities)
         self.frames = np.asarray(frames)
         self.conserved = np.asarray(conserved)
-        self._slopes = np.array(
-            [metric.ad_star_raw(u, u) for u in self.velocities]
-        )
+        self._slopes = metric.ad_star_raw(self.velocities, self.velocities)
         for arr in (self.times, self.velocities, self.frames, self.conserved):
             arr.setflags(write=False)
 
@@ -63,28 +62,6 @@ class GeodesicTrajectory:
         ref = np.abs(self.conserved[0])
         ref = np.where(ref > 1e-300, ref, 1.0)
         return float(np.abs((self.conserved - self.conserved[0]) / ref).max())
-
-    def velocity_at(self, t):
-        """Cubic Hermite interpolation of u(t) using u' = ad*_u u for slopes."""
-        t = float(t)
-        ts = self.times
-        if t <= ts[0]:
-            return self.velocities[0]
-        if t >= ts[-1]:
-            return self.velocities[-1]
-        i = int(np.searchsorted(ts, t, side="right") - 1)
-        h = ts[i + 1] - ts[i]
-        s = (t - ts[i]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return (
-            h00 * self.velocities[i]
-            + h10 * h * self._slopes[i]
-            + h01 * self.velocities[i + 1]
-            + h11 * h * self._slopes[i + 1]
-        )
 
     def frame_at_index(self, i):
         return GroupElement(self.basis, self.frames[i])
@@ -127,35 +104,47 @@ class GeodesicTrajectory:
                 fh.write(",".join(row) + "\n")
 
 
+def rk4(rhs, x, h):
+    """One classical RK4 step of x' = rhs(s, x), where s = 0..3 names the stage.
+
+    Returns the new state and the four stage states (x, x2, x3, x4); a linear
+    rhs may freeze its coefficients per stage.
+    """
+    k1 = rhs(0, x)
+    x2 = x + 0.5 * h * k1
+    k2 = rhs(1, x2)
+    x3 = x + 0.5 * h * k2
+    k3 = rhs(2, x3)
+    x4 = x + h * k3
+    k4 = rhs(3, x4)
+    return x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), (x, x2, x3, x4)
+
+
+def rk4_stages(metric, u, h):
+    """One RK4 step of u' = ad*_u u: the new u and the four stage velocities.
+
+    u may be a (..., dim) stack, one step per row.
+    """
+    return rk4(lambda s, v: metric.ad_star_raw(v, v), u, h)
+
+
 def rk4_step(metric, mats, u, gamma, h):
     """One classical RK4 step of u' = ad*_u u, gamma' = gamma u (no retraction)."""
-    k1u = metric.ad_star_raw(u, u)
-    k1g = gamma @ np.tensordot(u, mats, axes=1)
-    u2, g2 = u + 0.5 * h * k1u, gamma + 0.5 * h * k1g
-    k2u = metric.ad_star_raw(u2, u2)
-    k2g = g2 @ np.tensordot(u2, mats, axes=1)
-    u3, g3 = u + 0.5 * h * k2u, gamma + 0.5 * h * k2g
-    k3u = metric.ad_star_raw(u3, u3)
-    k3g = g3 @ np.tensordot(u3, mats, axes=1)
-    u4, g4 = u + h * k3u, gamma + h * k3g
-    k4u = metric.ad_star_raw(u4, u4)
-    k4g = g4 @ np.tensordot(u4, mats, axes=1)
-    return (
-        u + h / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u),
-        gamma + h / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g),
-    )
+    u_next, stages = rk4_stages(metric, u, h)
+    gamma_next, _ = rk4(lambda s, g: g @ np.tensordot(stages[s], mats, axes=1), gamma, h)
+    return u_next, gamma_next
 
 
 def default_step(T):
     return min(1e-3, T / 2000.0)
 
 
-def integrate_euler_arnold(metric, u0, T, dt=None, retract_every=1):
+def integrate_euler_arnold(metric, u0, T, dt=None):
     """Fixed-step RK4 on gamma' = gamma u, u' = ad*_u u, from the identity.
 
-    The frame is re-projected to the group by polar decomposition every
-    ``retract_every`` steps.  Raises IntegrationDivergedError on non-finite
-    state, reporting the last valid time.
+    The frame is re-projected to the group by polar decomposition after
+    every step.  Raises IntegrationDivergedError on non-finite state,
+    reporting the last valid time.
     """
     basis = metric.basis
     basis.require_same(u0.basis)
@@ -190,14 +179,12 @@ def integrate_euler_arnold(metric, u0, T, dt=None, retract_every=1):
                 f"non-finite state at t={times[step + 1]:.6g}",
                 last_valid_time=float(times[step]),
             )
-        if (step + 1) % retract_every == 0:
-            retracted = _polar_retract(gamma)
-            if retracted is None:
-                raise IntegrationDivergedError(
-                    f"frame left the group at t={times[step + 1]:.6g}",
-                    last_valid_time=float(times[step]),
-                )
-            gamma = retracted
+        gamma = _polar_retract(gamma)
+        if gamma is None:
+            raise IntegrationDivergedError(
+                f"frame left the group at t={times[step + 1]:.6g}",
+                last_valid_time=float(times[step]),
+            )
         velocities[step + 1] = u
         frames[step + 1] = gamma
         conserved[step + 1] = conserved_pair(u)

@@ -7,6 +7,12 @@ The Jacobi system in the Lie algebra along a geodesic with velocity u(t) is
 a linear nonautonomous system; a conjugate point at time tau corresponds to a
 solution with y(0) = y(tau) = 0 and z(0) != 0, i.e. to the solution operator
 Omega(t): z0 -> y(t) (with y(0) = 0) becoming singular.
+
+(y, z) is carried through the same classical RK4 stages as the geodesic
+itself: step i evaluates the coefficients at the four stage velocities of the
+integrator's step from u(t_i), so (u, y, z) is one RK4 on the augmented system
+and u is never interpolated.  Off the grid, Omega(t) is one step of length
+t - t_i from the checkpoint at the grid node t_i before t.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Ad_matrix, AlgebraElement, GroupElement, ad_matrix_raw
-from .dynamics import rk4_step
+from .dynamics import rk4, rk4_stages, rk4_step
 from .errors import CriterionInapplicableError
 from .roots import golden_min, sign_changes
 
@@ -91,90 +97,60 @@ class ConjugateReport:
         return json.dumps(self.to_json_dict(), **kwargs)
 
 
-class _JacobiPropagator:
-    """RK4 propagator for the linear Jacobi system with interpolated u(t)."""
-
-    def __init__(self, traj):
-        self.traj = traj
-        self.metric = traj.metric
-        self.basis = traj.basis
-
-    def _coeffs(self, t):
-        u = self.traj.velocity_at(t)
-        a = -ad_matrix_raw(self.basis, u)
-        f = self.metric.ad_star_matrix_of(u) + self.metric.coad_force_matrix(u)
-        return a, f
-
-    @staticmethod
-    def _rk4(y, z, h, a1, f1, a2, f2, a4, f4):
-        k1y, k1z = a1 @ y + z, f1 @ z
-        y2, z2 = y + 0.5 * h * k1y, z + 0.5 * h * k1z
-        k2y, k2z = a2 @ y2 + z2, f2 @ z2
-        y3, z3 = y + 0.5 * h * k2y, z + 0.5 * h * k2z
-        k3y, k3z = a2 @ y3 + z3, f2 @ z3
-        y4, z4 = y + h * k3y, z + h * k3z
-        k4y, k4z = a4 @ y4 + z4, f4 @ z4
-        return (
-            y + h / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y),
-            z + h / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z),
-        )
-
-    def step(self, t, y, z, h):
-        a1, f1 = self._coeffs(t)
-        a2, f2 = self._coeffs(t + 0.5 * h)
-        a4, f4 = self._coeffs(t + h)
-        return self._rk4(y, z, h, a1, f1, a2, f2, a4, f4)
-
-    def coeff_stacks(self, times):
-        """(A, F) at the grid nodes and at the step midpoints, precomputed."""
-        node = [self._coeffs(float(t)) for t in times]
-        mid = [
-            self._coeffs(float(0.5 * (times[i] + times[i + 1])))
-            for i in range(len(times) - 1)
-        ]
-        a_n = np.array([c[0] for c in node])
-        f_n = np.array([c[1] for c in node])
-        a_m = np.array([c[0] for c in mid])
-        f_m = np.array([c[1] for c in mid])
-        return a_n, f_n, a_m, f_m
-
-    def run(self, times, y, z, store=True):
-        """Propagate (y, z) across the whole grid; optionally store all states."""
-        a_n, f_n, a_m, f_m = self.coeff_stacks(times)
-        if store:
-            ys = np.empty((len(times),) + y.shape)
-            zs = np.empty((len(times),) + z.shape)
-            ys[0], zs[0] = y, z
-        for i in range(len(times) - 1):
-            h = float(times[i + 1] - times[i])
-            y, z = self._rk4(y, z, h, a_n[i], f_n[i], a_m[i], f_m[i], a_n[i + 1], f_n[i + 1])
-            if store:
-                ys[i + 1], zs[i + 1] = y, z
-        if store:
-            return ys, zs
-        return y, z
-
-    def advance(self, t0, y, z, t1, h_max):
-        """Propagate from t0 to t1 in uniform RK4 steps no longer than h_max."""
-        if t1 <= t0:
-            return y, z
-        n = max(1, int(np.ceil((t1 - t0) / h_max)))
-        h = (t1 - t0) / n
-        for k in range(n):
-            y, z = self.step(t0 + k * h, y, z, h)
-        return y, z
+STAGE_BLOCK = 256  # grid steps whose stage generators are built at once (bounds memory)
 
 
-def integrate_jacobi(traj, y0, z0, n_steps=None):
+def _generators(traj, u, h):
+    """[[A, I], [0, F]] at the RK4 stage velocities of steps of length h from u.
+
+    A = -ad_U and F = ad*_U + ad*_(.) U drive the augmented state [y; z].
+    u is one velocity or a stack of them; the stage axis follows its
+    leading axes.
+    """
+    metric, dim = traj.metric, traj.basis.dim
+    us = np.stack(rk4_stages(metric, u, h)[1], axis=-2)
+    gen = np.zeros(us.shape[:-1] + (2 * dim, 2 * dim))
+    gen[..., :dim, :dim] = -ad_matrix_raw(traj.basis, us)
+    gen[..., :dim, dim:] = np.eye(dim)
+    gen[..., dim:, dim:] = metric.ad_star_matrix_of(us) + metric.coad_force_matrix(us)
+    return gen
+
+
+def _jacobi_step(gen, x, h):
+    return rk4(lambda s, v: gen[s] @ v, x, h)[0]
+
+
+def _grid_step(traj):
+    return traj.duration() / (len(traj.times) - 1)
+
+
+def _checkpoint(times, t):
+    """Index of the last grid node at or before t, which must lie on the grid."""
+    if not times[0] <= t <= times[-1] + 1e-12 * max(1.0, times[-1]):
+        raise ValueError(f"t={t} outside the trajectory range")
+    return int(np.searchsorted(times, t, side="right")) - 1
+
+
+def _propagate(traj, x, count):
+    """Augmented states [y; z] at the first count grid nodes, from x at t = 0."""
+    h = _grid_step(traj)
+    xs = np.empty((count,) + x.shape)
+    xs[0] = x
+    for b in range(0, count - 1, STAGE_BLOCK):
+        gens = _generators(traj, traj.velocities[b : min(b + STAGE_BLOCK, count - 1)], h)
+        for j, gen in enumerate(gens):
+            x = _jacobi_step(gen, x, h)
+            xs[b + j + 1] = x
+    return xs
+
+
+def integrate_jacobi(traj, y0, z0):
     """Integrate the Jacobi system with initial data (y0, z0) along traj."""
     traj.basis.require_same(y0.basis)
     traj.basis.require_same(z0.basis)
-    prop = _JacobiPropagator(traj)
-    ts = traj.times
-    if n_steps is not None:
-        ts = np.linspace(ts[0], ts[-1], n_steps + 1)
-    ys, zs = prop.run(ts, np.array(y0.coords), np.array(z0.coords))
-    return JacobiSolution(traj, ts, ys, zs)
+    dim = traj.basis.dim
+    xs = _propagate(traj, np.concatenate([y0.coords, z0.coords]), len(traj.times))
+    return JacobiSolution(traj, traj.times, xs[:, :dim], xs[:, dim:])
 
 
 def _svd_stats(omega):
@@ -182,12 +158,16 @@ def _svd_stats(omega):
     return float(np.linalg.det(omega)), float(s[-1]), float(s[0])
 
 
-def solution_operator(traj, t_grid=None):
-    """Columns of Omega(t): z0 = b_j, y0 = 0, integrated in a single pass."""
-    prop = _JacobiPropagator(traj)
-    ts = traj.times if t_grid is None else np.asarray(t_grid)
+def _omega_start(dim):
+    """[y; z] = [0; I]: the columns of Omega start from z0 = b_j, y0 = 0."""
+    return np.vstack([np.zeros((dim, dim)), np.eye(dim)])
+
+
+def solution_operator(traj):
+    """Omega(t) at every grid node, all columns integrated in a single pass."""
+    ts = traj.times
     dim = traj.basis.dim
-    ys, _ = prop.run(ts, np.zeros((dim, dim)), np.eye(dim))
+    ys = _propagate(traj, _omega_start(dim), len(ts))[:, :dim]
     dets = np.linalg.det(ys)
     svals = np.linalg.svd(ys, compute_uv=False)
     return [
@@ -203,30 +183,24 @@ def solution_operator(traj, t_grid=None):
 
 
 class _OmegaEvaluator:
-    """Evaluate Omega(t) anywhere by restarting from stored grid checkpoints."""
+    """Evaluate Omega(t) anywhere by one short step from a grid checkpoint."""
 
     def __init__(self, traj, horizon):
-        self.prop = _JacobiPropagator(traj)
+        self.traj = traj
         mask = traj.times <= horizon + 1e-12 * max(1.0, horizon)
         self.times = traj.times[mask]
         if len(self.times) < 3:
             raise ValueError("horizon too short for the trajectory grid")
-        self.h = float(self.times[1] - self.times[0])
-        dim = traj.basis.dim
-        self.y_chk, self.z_chk = self.prop.run(
-            self.times, np.zeros((dim, dim)), np.eye(dim)
-        )
+        self.h = _grid_step(traj)
+        self.dim = traj.basis.dim
+        self.chk = _propagate(traj, _omega_start(self.dim), len(self.times))
+        self.y_chk = self.chk[:, : self.dim]
 
     def omega(self, t):
-        i = min(
-            int(np.searchsorted(self.times, t, side="right") - 1),
-            len(self.times) - 1,
-        )
-        i = max(i, 0)
-        y, z = self.prop.advance(
-            float(self.times[i]), self.y_chk[i].copy(), self.z_chk[i].copy(), t, self.h
-        )
-        return y
+        i = _checkpoint(self.times, t)
+        s = t - float(self.times[i])
+        gen = _generators(self.traj, self.traj.velocities[i], s)
+        return _jacobi_step(gen, self.chk[i], s)[: self.dim]
 
     def det(self, t):
         return float(np.linalg.det(self.omega(t)))
@@ -322,22 +296,12 @@ def right_translation_isometry_check(metric, g, tol=ISOMETRY_TOL):
 
 
 def _state_at_time(traj, t):
-    """(u, gamma) at arbitrary t by one short RK4 restart from the grid."""
-    i = min(
-        int(np.searchsorted(traj.times, t, side="right") - 1), len(traj.times) - 1
+    """(u, gamma) at arbitrary t by one RK4 step from the grid node before t."""
+    i = _checkpoint(traj.times, t)
+    return rk4_step(
+        traj.metric, traj.basis.basis_matrices, traj.velocities[i], traj.frames[i],
+        t - float(traj.times[i]),
     )
-    i = max(i, 0)
-    u = np.array(traj.velocities[i])
-    gamma = np.array(traj.frames[i])
-    t0 = float(traj.times[i])
-    if t <= t0:
-        return u, gamma
-    h_max = float(traj.times[1] - traj.times[0])
-    n = max(1, int(np.ceil((t - t0) / h_max)))
-    h = (t - t0) / n
-    for _ in range(n):
-        u, gamma = rk4_step(traj.metric, traj.basis.basis_matrices, u, gamma, h)
-    return u, gamma
 
 
 def explicit_closed_field(traj, t):

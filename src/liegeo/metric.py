@@ -104,15 +104,18 @@ class MetricOperator:
             return np.diag(self._diag)
         return self._matrix
 
+    # apply_raw, apply_inv_raw, ad_star_raw, ad_star_matrix_of and
+    # coad_force_matrix also take (..., dim) stacks of coordinate rows
+
     def apply_raw(self, coords):
         if self._diag is not None:
             return self._diag * coords
-        return self._matrix @ coords
+        return (self._matrix @ coords[..., None])[..., 0]
 
     def apply_inv_raw(self, coords):
         if self._diag is not None:
             return coords / self._diag
-        return np.linalg.solve(self._matrix, coords)
+        return np.linalg.solve(self._matrix, coords[..., None])[..., 0]
 
     def inner_raw(self, a, b):
         return float(a @ self.basis.biinv_gram @ self.apply_raw(b))
@@ -139,7 +142,7 @@ class MetricOperator:
     def ad_star_raw(self, u, v):
         """ad*_u v = -Lambda^{-1} [u, Lambda v] on raw coordinates."""
         lv = self.apply_raw(v)
-        alv = np.einsum("i,j,ijk->k", u, lv, self.basis.structure_constants)
+        alv = np.einsum("...i,...j,ijk->...k", u, lv, self.basis.structure_constants)
         return -self.apply_inv_raw(alv)
 
     def ad_star(self, u, v):

@@ -9,6 +9,7 @@ from liegeo import (
     group_exp,
     integrate_euler_arnold,
 )
+from liegeo.dynamics import rk4_stages
 
 
 def test_steady_direction_is_one_parameter_subgroup(so3, rigid3):
@@ -84,13 +85,20 @@ def test_cheeger_exact_requires_cheeger(so3, rigid3):
         cheeger_geodesic_exact(rigid3, so3.element([1, 0, 0]), 1.0)
 
 
-def test_velocity_interpolation(su2):
-    m = MetricOperator.cheeger(su2, -0.5)
-    u0 = su2.element([1.0, 0.7, -0.4])
-    traj = integrate_euler_arnold(m, u0, T=1.0, dt=1e-3)
-    for t in (0.2501236, 0.77773):
-        _, u_exact = cheeger_geodesic_exact(m, u0, t)
-        assert np.linalg.norm(traj.velocity_at(t) - u_exact.coords) < 1e-10
+@pytest.mark.parametrize("case", ["rigid-so3", "zeitlin-su3"])
+def test_rk4_stages_reproduce_the_trajectory(case, so3, rigid3, su3):
+    if case == "rigid-so3":
+        m, u0 = rigid3, so3.element([0.4, 0.3, 0.8])
+    else:
+        m = MetricOperator.cheeger(su3, -2.0 / 3.0)
+        u0 = su3.element([0.4, 0.1, 0.3, 0.2, 0.5, 0.1, 0.2, 0.3])
+    traj = integrate_euler_arnold(m, u0, T=1.3, dt=1e-3)
+    dt = traj.duration() / (len(traj.times) - 1)
+    u_next, stages = rk4_stages(m, traj.velocities[:-1], dt)
+    assert np.array_equal(u_next, traj.velocities[1:])
+    assert np.array_equal(stages[0], traj.velocities[:-1])
+    rows = np.array([m.ad_star_raw(u, u) for u in traj.velocities])
+    assert np.array_equal(traj._slopes, rows)
 
 
 def test_closed_time_su2(su2):

@@ -16,6 +16,7 @@ from liegeo import (
     right_translation_isometry_check,
     solution_operator,
 )
+from liegeo import jacobi
 from liegeo.algebra import Ad_matrix, ad_matrix_raw
 
 
@@ -153,6 +154,24 @@ def test_omega_linearity(so3, rigid3, rng):
     assert np.abs(a * y1 + b * y2 - y12).max() < 1e-10
 
 
+@pytest.mark.parametrize("case", ["berger", "zeitlin-su3"])
+def test_one_step_restart_reproduces_checkpoint(case, su2, su3):
+    if case == "berger":
+        traj = berger_traj(su2, T=1.0)
+    else:
+        m = MetricOperator.cheeger(su3, -2.0 / 3.0)
+        u0 = su3.element([0.4, 0.1, 0.3, 0.2, 0.5, 0.1, 0.2, 0.3])
+        traj = integrate_euler_arnold(m, u0, T=1.0, dt=1e-3)
+    ev = jacobi._OmegaEvaluator(traj, traj.duration())
+    ts, dim = ev.times, traj.basis.dim
+    for i in (0, 1, 300, len(ts) // 2 + 1, len(ts) - 2):
+        s = float(ts[i + 1] - ts[i])
+        gen = jacobi._generators(traj, traj.velocities[i], s)
+        omega = jacobi._jacobi_step(gen, ev.chk[i], s)[:dim]
+        ref = ev.y_chk[i + 1]
+        assert np.linalg.norm(omega - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 def test_steady_detection_matches_block_scan(so3, rigid3):
     u0 = so3.element_by_label("e23")
     _, block_rep = commuting_block_scan(rigid3, u0)
@@ -187,6 +206,8 @@ def test_closed_geodesic_field_vanishes(su2):
     assert explicit_closed_field(traj, 0.4 * tau).norm_biinv() > 1e-2
     verdict = closed_geodesic_conjugacy(traj, tau)
     assert verdict.isometry_ok and verdict.conjugate_at_or_before_tau
+    with pytest.raises(ValueError):
+        explicit_closed_field(traj, traj.duration() + 0.5)
 
 
 def test_closed_geodesic_rejects_steady(so3, rigid3):

@@ -9,7 +9,7 @@ from liegeo import (
     group_exp,
     project_h,
 )
-from liegeo.algebra import Ad_matrix
+from liegeo.algebra import Ad_matrix, ad_matrix_raw
 
 
 def test_rigid_body_eigenvalues(so3, rigid3):
@@ -123,3 +123,28 @@ def test_Ad_star_duality_generic(so3, rng):
         lhs = m.inner_raw(adsm @ u, v)
         rhs = m.inner_raw(u, adm @ v)
         assert abs(lhs - rhs) < 1e-11
+
+
+@pytest.mark.parametrize("variant", ["rigid", "diagonal", "cheeger", "generic"])
+def test_stacked_kernels_match_row_calls(variant, so4, su3, rng):
+    spd = rng.standard_normal((so4.dim, so4.dim))
+    m = {
+        "rigid": lambda: MetricOperator.rigid_body(so4, [1.0, 2.0, 3.5, 4.0]),
+        "diagonal": lambda: MetricOperator.diagonal(so4, rng.uniform(0.5, 4.0, so4.dim)),
+        "cheeger": lambda: MetricOperator.cheeger(su3, -2.0 / 3.0),
+        "generic": lambda: MetricOperator.generic(so4, spd @ spd.T + so4.dim * np.eye(so4.dim)),
+    }[variant]()
+    dim = m.basis.dim
+    # k == dim: a stack that np.linalg.solve(M, stack) would take for one matrix
+    for k in (1, 5, dim):
+        u = rng.standard_normal((k, dim))
+        v = rng.standard_normal((k, dim))
+        kernels = {
+            "ad_matrix_raw": (lambda x: ad_matrix_raw(m.basis, x), (u,)),
+            "ad_star_raw": (m.ad_star_raw, (u, v)),
+            "ad_star_matrix_of": (m.ad_star_matrix_of, (u,)),
+            "coad_force_matrix": (m.coad_force_matrix, (u,)),
+        }
+        for name, (fn, args) in kernels.items():
+            rows = np.array([fn(*(a[r] for a in args)) for r in range(k)])
+            assert np.array_equal(fn(*args), rows), (name, k)
