@@ -18,8 +18,7 @@ from .errors import BasisMismatchError, InvalidDimensionError, UnsupportedSplitE
 
 log = logging.getLogger(__name__)
 
-ALGEBRA_TOL = 1e-12     # algebraic identities (Jacobi, ad-invariance)
-EXPONENTIAL_TOL = 1e-10  # identities involving matrix exponentials
+ALGEBRA_TOL = 1e-12  # algebraic identities (Jacobi, ad-invariance)
 
 
 def matrix_form(u, v):

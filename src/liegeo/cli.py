@@ -38,6 +38,7 @@ from .curvature import (
     block_einstein_report,
     misiolek_scan,
     ricci_matrix,
+    ricci_numeric,
     ricci_rigid_closed_form,
     sectional_numerator,
     sectional_numerator_arnold,
@@ -60,6 +61,7 @@ from .dynamics import (
 from .errors import (
     ConfigError,
     CriterionInapplicableError,
+    InvalidDimensionError,
     LieGeoError,
     UnsupportedSplitError,
 )
@@ -108,6 +110,8 @@ def normalize_config(raw, command=None):
     ``command`` names the subcommand the config is for, when known, so that
     limits of a single route can be checked here too.
     """
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     cfg = json.loads(json.dumps(DEFAULTS))
     for key, val in raw.items():
         if key not in DEFAULTS:
@@ -116,11 +120,26 @@ def normalize_config(raw, command=None):
             cfg[key] = {**cfg[key], **val} if key == "tolerances" else dict(val)
         else:
             cfg[key] = val
+    if not isinstance(cfg["metric"], dict):
+        raise ConfigError("metric must be an object with a kind")
+    for field in ("group", "out"):
+        if not isinstance(cfg[field], str):
+            raise ConfigError(f"{field} must be a string")
+    tol = cfg["tolerances"]
+    try:
+        for field in ("T", "dt"):
+            if cfg[field] is not None:
+                cfg[field] = float(cfg[field])
+        cfg["angles"] = int(cfg["angles"])
+        cfg["seed"] = int(cfg["seed"])
+        cfg["deltas"] = [float(d) for d in cfg["deltas"]]
+        time_tol, sigma = float(tol["time_tol"]), float(tol["sigma_rel_threshold"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config values must be numbers: {exc}")
+    tol["time_tol"], tol["sigma_rel_threshold"] = time_tol, sigma
     for field in ("T", "dt"):
-        if cfg[field] is not None:
-            cfg[field] = float(cfg[field])
-            if not np.isfinite(cfg[field]) or cfg[field] <= 0:
-                raise ConfigError(f"{field} must be a positive finite number")
+        if cfg[field] is not None and not (np.isfinite(cfg[field]) and cfg[field] > 0):
+            raise ConfigError(f"{field} must be a positive finite number")
     if cfg["criterion"] is not None and cfg["criterion"] not in CRITERIA:
         raise ConfigError(f"criterion must be one of {CRITERIA}")
     if cfg["dt"] is not None and cfg["T"] is not None:
@@ -130,22 +149,14 @@ def normalize_config(raw, command=None):
         numeric_route = command == "conjugate" and cfg["criterion"] is None
         if numeric_route and round(cfg["T"] / cfg["dt"]) < 2:
             raise ConfigError("numeric conjugate route: T/dt must round to at least 2")
-    tol = cfg["tolerances"]
-    try:
-        time_tol, sigma = float(tol["time_tol"]), float(tol["sigma_rel_threshold"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tolerances must be numbers: {exc}")
     if not (np.isfinite(time_tol) and time_tol > 0):
         raise ConfigError("tolerances.time_tol must be a positive finite number")
     if not 0 < sigma < 1:
         raise ConfigError("tolerances.sigma_rel_threshold must lie in (0, 1)")
-    cfg["angles"] = int(cfg["angles"])
     if cfg["angles"] < 8:
         raise ConfigError("angles must be at least 8")
     if cfg["unit"] not in UNITS:
         raise ConfigError(f"unit must be one of {UNITS}")
-    cfg["seed"] = int(cfg["seed"])
-    cfg["deltas"] = [float(d) for d in cfg["deltas"]]
     if any(not np.isfinite(d) or d <= -1 for d in cfg["deltas"]):
         raise ConfigError("locus deltas must be finite and > -1")
     return cfg
@@ -159,20 +170,23 @@ def config_hash(cfg):
 
 def build_group(name):
     name = name.replace("(", "").replace(")", "").replace("_", "-").lower()
-    if name == "berger-sphere":
-        return build_su_basis(2, embed_so_subalgebra=True)
-    m = re.fullmatch(r"so(\d+)", name)
-    if m:
-        return build_so_basis(int(m.group(1)))
-    m = re.fullmatch(r"su(\d+)-with-so\d*", name)
-    if m:
-        return build_su_basis(int(m.group(1)), embed_so_subalgebra=True)
-    m = re.fullmatch(r"su(\d+)", name)
-    if m:
-        return build_su_basis(int(m.group(1)))
-    m = re.fullmatch(r"torus(\d+)", name)
-    if m:
-        return build_torus_basis(int(m.group(1)))
+    try:
+        if name == "berger-sphere":
+            return build_su_basis(2, embed_so_subalgebra=True)
+        m = re.fullmatch(r"so(\d+)", name)
+        if m:
+            return build_so_basis(int(m.group(1)))
+        m = re.fullmatch(r"su(\d+)-with-so\d*", name)
+        if m:
+            return build_su_basis(int(m.group(1)), embed_so_subalgebra=True)
+        m = re.fullmatch(r"su(\d+)", name)
+        if m:
+            return build_su_basis(int(m.group(1)))
+        m = re.fullmatch(r"torus(\d+)", name)
+        if m:
+            return build_torus_basis(int(m.group(1)))
+    except InvalidDimensionError as exc:
+        raise ConfigError(str(exc))
     raise ConfigError(f"unknown group {name!r}")
 
 
@@ -198,6 +212,13 @@ def build_metric(basis, spec):
     raise ConfigError(f"unknown metric kind {kind!r}")
 
 
+def _coords(spec):
+    try:
+        return np.asarray(spec, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"u0 coordinates must be numbers: {exc}")
+
+
 def build_initial(basis, spec):
     if isinstance(spec, str):
         try:
@@ -208,14 +229,13 @@ def build_initial(basis, spec):
         m = basis.subalgebra_dim
         if not m:
             raise ConfigError("p0/q0 split needs a group with a subalgebra")
-        p0 = np.asarray(spec.get("p0", []), dtype=float)
-        q0 = np.asarray(spec.get("q0", []), dtype=float)
+        p0, q0 = _coords(spec.get("p0", [])), _coords(spec.get("q0", []))
         if p0.shape != (m,) or q0.shape != (basis.dim - m,):
             raise ConfigError(
                 f"p0 must have length {m} and q0 length {basis.dim - m}"
             )
         return basis.element(np.concatenate([p0, q0]))
-    coords = np.asarray(spec, dtype=float)
+    coords = _coords(spec)
     if coords.shape != (basis.dim,):
         raise ConfigError(f"u0 must have {basis.dim} coordinates")
     return basis.element(coords)
@@ -619,6 +639,23 @@ def _verify_checks(seed=0):
     bg, bh = beta_constants(su3)
     yield "beta_G su(3) = 12", abs(bg - 12.0), 1e-9
 
+    # closed-form Ricci matrix vs the sectional sum over a g-orthonormal frame
+    w = rng.standard_normal((so4.dim, so4.dim))
+    worst = 0.0
+    for metric in (
+        MetricOperator.generic(so4, np.eye(so4.dim) + 0.2 * w @ w.T),
+        MetricOperator.cheeger(su3, -2.0 / 3.0),
+    ):
+        basis = metric.basis
+        ric = ricci_matrix(metric).matrix
+        for _ in range(20):
+            coords = rng.standard_normal(basis.dim)
+            coords /= np.linalg.norm(coords)
+            worst = max(
+                worst, abs(coords @ ric @ coords - ricci_numeric(metric, basis.element(coords)))
+            )
+    yield "ricci formula vs sectional sum", worst, 1e-10
+
 
 def cmd_verify(cfg):
     failures = 0
@@ -649,6 +686,14 @@ def _add_common(parser):
     parser.add_argument("--out", help="output directory (or .svg path for locus)")
 
 
+def _numbers(items):
+    """Floats of a sequence of command-line strings; ConfigError on a bad one."""
+    try:
+        return [float(x) for x in items]
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def _parse_metric_tokens(tokens):
     kind = tokens[0]
     if kind in ("biinvariant",):
@@ -657,11 +702,11 @@ def _parse_metric_tokens(tokens):
         raise ConfigError(f"metric {kind!r} needs a parameter")
     arg = tokens[1]
     if kind == "rigid-body":
-        return {"kind": kind, "mu": [float(x) for x in arg.split(",")]}
+        return {"kind": kind, "mu": _numbers(arg.split(","))}
     if kind == "diagonal":
-        return {"kind": kind, "lam": [float(x) for x in arg.split(",")]}
+        return {"kind": kind, "lam": _numbers(arg.split(","))}
     if kind == "cheeger":
-        return {"kind": kind, "delta": float(arg)}
+        return {"kind": kind, "delta": _numbers([arg])[0]}
     if kind == "generic":
         return {"kind": kind, "matrix_file": arg}
     raise ConfigError(f"unknown metric kind {kind!r}")
@@ -671,12 +716,12 @@ def _parse_u0(text):
     if ";" in text:
         p0, q0 = text.split(";", 1)
         return {
-            "p0": [float(x) for x in p0.split(",") if x],
-            "q0": [float(x) for x in q0.split(",") if x],
+            "p0": _numbers(x for x in p0.split(",") if x),
+            "q0": _numbers(x for x in q0.split(",") if x),
         }
     if re.fullmatch(r"[a-z][a-z0-9]*", text):
         return text
-    return [float(x) for x in text.split(",")]
+    return _numbers(text.split(","))
 
 
 def _fold_dashed_values(argv):
@@ -726,6 +771,8 @@ def config_from_args(args):
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {args.config!r} must hold a JSON object")
     if args.group:
         raw["group"] = args.group
     if args.metric:
@@ -739,7 +786,7 @@ def config_from_args(args):
     if getattr(args, "criterion", None):
         raw["criterion"] = args.criterion
     if getattr(args, "deltas", None):
-        raw["deltas"] = [float(x) for x in args.deltas.split(",")]
+        raw["deltas"] = _numbers(args.deltas.split(","))
     if getattr(args, "angles", None):
         raw["angles"] = args.angles
     if getattr(args, "unit", None):

@@ -55,8 +55,6 @@ def sectional_numerator_arnold(m, u, v):
 
 def _g_orthonormal_frame(m):
     """Columns of a g-orthonormal frame in basis coordinates."""
-    if m.diag is not None and np.allclose(m.basis.biinv_gram, np.eye(m.basis.dim)):
-        return np.diag(1.0 / np.sqrt(m.diag))
     gram = m.metric_gram()
     # Cholesky-based Gram-Schmidt of the coordinate basis
     chol = np.linalg.cholesky(gram)
@@ -82,26 +80,27 @@ class RicciResult:
 
 
 def ricci_matrix(m):
-    """Ric(b_i, b_j) by polarizing ricci_numeric over the structured basis."""
-    dim = m.basis.dim
-    frame = _g_orthonormal_frame(m)
-    cols = frame.shape[1]
-    ric = np.zeros((dim, dim))
-    eye = np.eye(dim)
-    diag_vals = np.array(
-        [
-            sum(sectional_numerator_raw(m, frame[:, k], eye[i]) for k in range(cols))
-            for i in range(dim)
-        ]
+    """Ric(b_i, b_j) in closed form: the sectional sum of ricci_numeric,
+    sum_k g(R(e_k,v)v, e_k) over a g-orthonormal frame, as one quadratic form.
+
+    With A_k = ad_{e_k}, S_k = ad*_{e_k}, W_k = S_k + ad*_(.) e_k + A_k and G
+    the metric Gram, Ric = sum_k 1/4 W_k^T G W_k - (S_k + A_k)^T G A_k.  The
+    sectional term g(ad*_u u, ad*_v v) sums to zero over the frame, since ad
+    is traceless on a unimodular group.  Milnor's formula (Besse 7.38) is not
+    used: on a Cheeger metric two of its terms grow like 1/(1+delta) and
+    cancel, where here they cancel exactly inside W_k.
+    """
+    basis = m.basis
+    frame = _g_orthonormal_frame(m).T
+    gram = m.metric_gram()
+    ad_e = ad_matrix_raw(basis, frame)
+    ad_star_e = m.ad_star_matrix_of(frame)
+    w = ad_star_e + m.coad_force_matrix(frame) + ad_e
+    ric = (
+        0.25 * np.einsum("kia,ij,kjb->ab", w, gram, w, optimize=True)
+        - np.einsum("kia,ij,kjb->ab", ad_star_e + ad_e, gram, ad_e, optimize=True)
     )
-    for i in range(dim):
-        ric[i, i] = diag_vals[i]
-        for j in range(i + 1, dim):
-            plus = sum(
-                sectional_numerator_raw(m, frame[:, k], eye[i] + eye[j])
-                for k in range(cols)
-            )
-            ric[i, j] = ric[j, i] = 0.5 * (plus - diag_vals[i] - diag_vals[j])
+    ric = 0.5 * (ric + ric.T)
     off = ric - np.diag(np.diag(ric))
     return RicciResult(matrix=ric, diagonality_residual=float(np.abs(off).max()))
 

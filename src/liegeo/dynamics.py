@@ -66,9 +66,6 @@ class GeodesicTrajectory:
     def frame_at_index(self, i):
         return GroupElement(self.basis, self.frames[i])
 
-    def velocity_at_index(self, i):
-        return AlgebraElement(self.basis, self.velocities[i])
-
     def index_of_time(self, t, tol=1e-9):
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[i] - t) > tol + 1e-12 * max(1.0, abs(t)):

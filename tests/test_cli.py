@@ -54,10 +54,25 @@ def test_normalize_rejects_bad_fields():
         {"angles": 4},
         {"T": 1, "dt": 2},
         {"unit": "bogus"},
+        {"seed": "abc"},
+        {"seed": float("inf")},
+        {"angles": "x"},
+        {"T": "abc"},
+        {"deltas": 0.5},
+        {"metric": "x"},
+        [1, 2],
+        {"group": 5},
+        {"out": 1},
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
             normalize_config(raw)
+
+
+def test_normalize_converts_tolerances():
+    # a string tolerance used to reach the refinement as a str and end in a TypeError
+    cfg = normalize_config({"tolerances": {"time_tol": "1e-9", "sigma_rel_threshold": "1e-6"}})
+    assert cfg == normalize_config({})
 
 
 def test_config_hash_stable():
@@ -156,6 +171,19 @@ def test_one_step_grid_only_rejected_on_numeric_conjugate_route(tmp_path):
         normalize_config(cfg, "conjugate")
 
 
+CONFIG_FILES = {
+    "unit": {"unit": "bogus"},
+    "tol": {"tolerances": {"time_tol": 0}},
+    "seed": {"seed": "abc"},
+    "angles": {"angles": "x"},
+    "T": {"T": "abc"},
+    "deltas": {"deltas": 0.5},
+    "metric": {"metric": "x"},
+    "list": [1, 2],
+    "u0": {"u0": ["a", 1, 2]},
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -165,12 +193,51 @@ def test_one_step_grid_only_rejected_on_numeric_conjugate_route(tmp_path):
         ["locus", "--config", "{dir}/unit.json"],
         ["conjugate", "--config", "{dir}/tol.json"],
         ["conjugate", "--T", "1", "--dt", "0.7"],
+        ["curvature", "--group", "so1"],
+        ["curvature", "--group", "su1"],
+        ["curvature", "--group", "torus0"],
+        ["curvature", "--metric", "rigid-body", "1,2,x"],
+        ["curvature", "--metric", "cheeger", "x"],
+        ["geodesic", "--u0", "1,x,3"],
+        ["conjugate", "--group", "berger-sphere", "--u0", "1;x,0"],
+        ["locus", "--deltas", "a,b"],
+        ["geodesic", "--config", "{dir}/seed.json"],
+        ["locus", "--config", "{dir}/angles.json"],
+        ["geodesic", "--config", "{dir}/T.json"],
+        ["locus", "--config", "{dir}/deltas.json"],
+        ["curvature", "--config", "{dir}/metric.json"],
+        ["curvature", "--config", "{dir}/list.json"],
+        ["curvature", "--config", "{dir}/list.json", "--group", "so3"],
+        ["geodesic", "--config", "{dir}/u0.json"],
     ],
-    ids=["angles", "dt-over-T", "missing-matrix-file", "unit", "time-tol", "one-step-grid"],
+    ids=[
+        "angles",
+        "dt-over-T",
+        "missing-matrix-file",
+        "unit",
+        "time-tol",
+        "one-step-grid",
+        "group-so1",
+        "group-su1",
+        "group-torus0",
+        "mu-not-a-number",
+        "delta-not-a-number",
+        "u0-not-a-number",
+        "q0-not-a-number",
+        "deltas-not-numbers",
+        "config-seed",
+        "config-angles",
+        "config-T",
+        "config-deltas",
+        "config-metric",
+        "config-list",
+        "config-list-with-group",
+        "config-u0",
+    ],
 )
 def test_bad_input_exits_with_config_error(tmp_path, args):
-    (tmp_path / "unit.json").write_text(json.dumps({"unit": "bogus"}))
-    (tmp_path / "tol.json").write_text(json.dumps({"tolerances": {"time_tol": 0}}))
+    for name, doc in CONFIG_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     argv = [a.format(dir=tmp_path) for a in args] + ["--out", str(tmp_path / "run")]
     assert main(argv) == EXIT_CONFIG
 

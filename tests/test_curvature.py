@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liegeo import (
     CriterionInapplicableError,
@@ -11,6 +15,7 @@ from liegeo import (
     block_einstein_constants,
     block_einstein_report,
     bracket,
+    build_so_basis,
     build_su_basis,
     cartan_condition_check,
     cheeger_sectional,
@@ -109,6 +114,99 @@ def test_ricci_numeric_matches_closed_form_so4(so4, rng):
 def test_ricci_numeric_single_direction(so3, rigid3):
     e13 = so3.element_by_label("e13")
     assert ricci_numeric(rigid3, e13) == pytest.approx(0.4, abs=1e-10)
+
+
+# -- property tests of the Ricci claims ------------------------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+OPEN_DELTA = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@lru_cache(maxsize=None)
+def _so(n):
+    return build_so_basis(n)
+
+
+@lru_cache(maxsize=None)
+def _su(n):
+    return build_su_basis(n, embed_so_subalgebra=True)
+
+
+def _floats(draw, size, lo, hi):
+    return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+
+@st.composite
+def metrics(draw):
+    """Rigid, diagonal and generic metrics on so(3)..so(6); Cheeger on su(2)..su(4)."""
+    kind = draw(st.sampled_from(["rigid-body", "diagonal", "generic", "cheeger"]))
+    if kind == "cheeger":
+        return MetricOperator.cheeger(_su(draw(st.integers(2, 4))), draw(OPEN_DELTA))
+    n = draw(st.integers(3, 6))
+    basis = _so(n)
+    if kind == "rigid-body":
+        return MetricOperator.rigid_body(basis, _floats(draw, n, 0.2, 5.0))
+    if kind == "diagonal":
+        return MetricOperator.diagonal(basis, _floats(draw, basis.dim, 0.2, 5.0))
+    a = _floats(draw, basis.dim**2, -1.0, 1.0).reshape(basis.dim, basis.dim)
+    return MetricOperator.generic(basis, np.eye(basis.dim) + a @ a.T / basis.dim)
+
+
+@PROPERTY
+@given(st.data())
+def test_ricci_matrix_is_the_sectional_sum(data):
+    m = data.draw(metrics())
+    u = _floats(data.draw, m.basis.dim, -1.0, 1.0)
+    ric = ricci_matrix(m).matrix
+    assert np.abs(ric - ric.T).max() <= 1e-14 * max(1.0, np.abs(ric).max())
+    numeric = ricci_numeric(m, m.basis.element(u))
+    assert abs(u @ ric @ u - numeric) <= 1e-10 * max(1.0, u @ u)
+
+
+@PROPERTY
+@given(st.data())
+def test_rigid_body_ricci_is_diagonal_positive_and_closed(data):
+    # the paper's SO(n) claim: Ric is diagonal in e_ij and positive-definite
+    n = data.draw(st.integers(3, 10))
+    mu = _floats(data.draw, n, 0.1, 10.0)
+    res = ricci_matrix(MetricOperator.rigid_body(_so(n), mu))
+    scale = max(1.0, np.abs(res.matrix).max())
+    assert res.diagonality_residual <= 1e-10 * scale
+    assert np.abs(res.diagonal() - ricci_rigid_closed_form(n, mu=mu)).max() <= 1e-10 * scale
+    assert np.linalg.eigvalsh(res.matrix).min() > 0
+
+
+@PROPERTY
+@given(st.integers(2, 5), OPEN_DELTA)
+def test_cheeger_ricci_is_block_einstein(n, delta):
+    assert block_einstein_report(MetricOperator.cheeger(_su(n), delta))["residual"] <= 1e-9
+
+
+def _milnor_ricci(m):
+    """Milnor's unimodular formula in basis coordinates, as an outside oracle:
+    -1/2 sum g([x,e_i],[y,e_i]) - 1/2 B(x,y) + 1/4 sum g([e_i,e_j],x) g([e_i,e_j],y)."""
+    c = m.basis.structure_constants
+    gram = m.metric_gram()
+    gi = np.linalg.inv(gram)
+    low = c @ gram
+    ric = (
+        -0.5 * np.einsum("apl,pq,bql->ab", low, gi, c)
+        - 0.5 * np.einsum("apk,bkp->ab", c, c)
+        + 0.25 * np.einsum("pr,qs,pqa,rsb->ab", gi, gi, low, low, optimize=True)
+    )
+    return 0.5 * (ric + ric.T)
+
+
+def test_ricci_matrix_matches_milnor_formula(so4, su3, rng):
+    w = rng.standard_normal((so4.dim, so4.dim))
+    for m in (
+        MetricOperator.rigid_body(_so(5), [1.0, 2.0, 3.5, 4.0, 0.5]),
+        MetricOperator.generic(so4, np.eye(so4.dim) + 0.2 * w @ w.T),
+        MetricOperator.cheeger(su3, -2.0 / 3.0),
+        MetricOperator.cheeger(su3, 0.5),
+    ):
+        ric = ricci_matrix(m).matrix
+        assert np.abs(ric - _milnor_ricci(m)).max() <= 1e-12 * max(1.0, np.abs(ric).max())
 
 
 def test_cheeger_closed_forms(su3, rng):
