@@ -1,4 +1,10 @@
-"""Geodesic integration: Euler-Arnold + flow equations, exact Cheeger solutions."""
+"""Geodesic integration: Euler-Arnold + flow equations, exact Cheeger solutions.
+
+RK4 runs step by step only on the nonlinear Euler-Arnold equation for u; the
+frame equation gamma' = gamma u is linear given the stage velocities, so its
+steps are RK4 step maps (``rk4_step_maps``) built in blocks, each followed by
+its polar factor.
+"""
 
 from __future__ import annotations
 
@@ -9,22 +15,23 @@ from .errors import IntegrationDivergedError, MetricConstructionError
 from .roots import golden_min
 
 CONSERVATION_TOL = 1e-9
+STEP_BLOCK = 256  # steps whose RK4 step maps are built at once (bounds memory)
 
 
-def _polar_retract(gamma):
-    """Nearest orthogonal/unitary matrix (polar factor), with det-phase fix.
+def _polar_retract(m):
+    """Nearest orthogonal/unitary matrices (polar factors) of a (..., n, n) stack.
 
-    Returns None when the polar factor flips orientation (the frame left the
-    special group entirely), so callers can report divergence with a time.
+    Unitary factors get the det-phase fix that puts them in SU(n).  Also
+    returns a mask of the real factors that flip orientation (the frame left
+    the special group), so callers can report divergence with a time.
     """
-    u, _, vh = np.linalg.svd(gamma)
+    u, _, vh = np.linalg.svd(m)
     q = u @ vh
     det = np.linalg.det(q)
     if np.iscomplexobj(q):
-        return q * np.exp(-1j * np.angle(det) / q.shape[0])
-    if det < 0:
-        return None
-    return q
+        phase = np.exp(-1j * np.angle(det) / q.shape[-1])
+        return q * phase[..., None, None], np.zeros(det.shape, dtype=bool)
+    return q, det < 0
 
 
 class GeodesicTrajectory:
@@ -32,19 +39,21 @@ class GeodesicTrajectory:
 
     Stores the conserved pair (k, l) = (g(u,u), <Lambda u, Lambda u>) per
     sample; their relative drift is the integrator's health metric.  There is
-    no interpolation between samples: u off the grid comes from the RK4
-    stages of the step that starts at the sample before it (``rk4_stages``).
+    no interpolation between samples: ``stages[i]`` holds the four RK4 stage
+    velocities of the step from sample i, and u off the grid comes from the
+    stages of a shorter step from the sample before it (``rk4_stages``).
     """
 
-    def __init__(self, metric, times, velocities, frames, conserved):
+    def __init__(self, metric, times, velocities, frames, conserved, stages):
         self.metric = metric
         self.basis = metric.basis
         self.times = np.asarray(times)
         self.velocities = np.asarray(velocities)
         self.frames = np.asarray(frames)
         self.conserved = np.asarray(conserved)
+        self.stages = np.asarray(stages)
         self._slopes = metric.ad_star_raw(self.velocities, self.velocities)
-        for arr in (self.times, self.velocities, self.frames, self.conserved):
+        for arr in (self.times, self.velocities, self.frames, self.conserved, self.stages):
             arr.setflags(write=False)
 
     @property
@@ -125,11 +134,31 @@ def rk4_stages(metric, u, h):
     return rk4(lambda s, v: metric.ad_star_raw(v, v), u, h)
 
 
+def rk4_step_maps(G, h):
+    """RK4 step maps M (x_next = M x) of the linear system x' = G_s x.
+
+    G is a (..., 4, k, k) stack of the generators at the four RK4 stages of
+    steps of length h; M is the matrix polynomial that the classical RK4
+    step applies to x (Hairer, Norsett & Wanner, Solving ODEs I, II.6).
+    """
+    g1, g2, g3, g4 = (G[..., s, :, :] for s in range(4))
+    p2 = g2 + 0.5 * h * (g2 @ g1)
+    p3 = g3 + 0.5 * h * (g3 @ p2)
+    p4 = g4 + h * (g4 @ p3)
+    return np.eye(G.shape[-1]) + h / 6.0 * (g1 + 2 * p2 + 2 * p3 + p4)
+
+
+def _frame_step_maps(mats, stages, h):
+    """Maps M with gamma_next = gamma M for gamma' = gamma u, from (..., 4, dim) stages."""
+    dim, n = mats.shape[0], mats.shape[-1]
+    gens = (stages @ mats.reshape(dim, n * n)).reshape(stages.shape[:-1] + (n, n))
+    return rk4_step_maps(gens.swapaxes(-1, -2), h).swapaxes(-1, -2)
+
+
 def rk4_step(metric, mats, u, gamma, h):
     """One classical RK4 step of u' = ad*_u u, gamma' = gamma u (no retraction)."""
     u_next, stages = rk4_stages(metric, u, h)
-    gamma_next, _ = rk4(lambda s, g: g @ np.tensordot(stages[s], mats, axes=1), gamma, h)
-    return u_next, gamma_next
+    return u_next, gamma @ _frame_step_maps(mats, np.stack(stages), h)
 
 
 def default_step(T):
@@ -139,9 +168,16 @@ def default_step(T):
 def integrate_euler_arnold(metric, u0, T, dt=None):
     """Fixed-step RK4 on gamma' = gamma u, u' = ad*_u u, from the identity.
 
-    The frame is re-projected to the group by polar decomposition after
-    every step.  Raises IntegrationDivergedError on non-finite state,
-    reporting the last valid time.
+    Only the nonlinear u recurrence runs step by step, and it keeps the four
+    stage velocities of each step.  Given those, gamma' = gamma u is linear:
+    each frame step is gamma M with M the RK4 step map (``rk4_step_maps``),
+    and the frame is re-projected to the group by its polar factor after
+    every step.  For unitary gamma, polar(gamma M) = gamma polar(M), so the
+    maps and their polar factors are built STEP_BLOCK steps at a time and
+    chained by one product, re-projected again at each block end.  Raises
+    IntegrationDivergedError at the first step whose state is non-finite or
+    whose frame leaves the group (checked in that order), reporting the last
+    valid time.
     """
     basis = metric.basis
     basis.require_same(u0.basis)
@@ -154,39 +190,52 @@ def integrate_euler_arnold(metric, u0, T, dt=None):
     n_steps = int(round(T / dt))
     dt = T / n_steps
     mats = basis.basis_matrices
-
-    u = np.array(u0.coords)
-    gamma = np.eye(basis.matrix_size, dtype=mats.dtype)
-    gram = basis.biinv_gram
-
-    def conserved_pair(u):
-        lu = metric.apply_raw(u)
-        return (float(u @ gram @ lu), float(lu @ gram @ lu))
+    n = basis.matrix_size
 
     times = np.linspace(0.0, T, n_steps + 1)
     velocities = np.empty((n_steps + 1, basis.dim))
-    frames = np.empty((n_steps + 1,) + gamma.shape, dtype=gamma.dtype)
-    conserved = np.empty((n_steps + 1, 2))
-    velocities[0], frames[0], conserved[0] = u, gamma, conserved_pair(u)
+    stages = np.empty((n_steps, 4, basis.dim))
+    velocities[0] = u0.coords
+    done = n_steps  # steps taken; the last one may end non-finite
+    # a diverging step overflows; it is reported below as a typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            velocities[step + 1], stages[step] = rk4_stages(metric, velocities[step], dt)
+            if not np.all(np.isfinite(velocities[step + 1])):
+                done = step + 1
+                break
 
-    for step in range(n_steps):
-        u, gamma = rk4_step(metric, mats, u, gamma, dt)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(gamma))):
+    frames = np.empty((n_steps + 1, n, n), dtype=mats.dtype)
+    frames[0] = np.eye(n)
+    for b in range(0, done, STEP_BLOCK):
+        e = min(b + STEP_BLOCK, done)
+        with np.errstate(over="ignore", invalid="ignore"):
+            maps = _frame_step_maps(mats, stages[b:e], dt)
+        finite = np.isfinite(maps).all(axis=(1, 2))
+        finite &= np.isfinite(velocities[b + 1 : e + 1]).all(axis=1)
+        good = e - b if finite.all() else int(np.argmin(finite))
+        polar, flipped = _polar_retract(maps[:good])
+        if flipped.any():
+            j = b + int(np.argmax(flipped))
             raise IntegrationDivergedError(
-                f"non-finite state at t={times[step + 1]:.6g}",
-                last_valid_time=float(times[step]),
+                f"frame left the group at t={times[j + 1]:.6g}", last_valid_time=float(times[j])
             )
-        gamma = _polar_retract(gamma)
-        if gamma is None:
+        if good < e - b:
+            j = b + good
             raise IntegrationDivergedError(
-                f"frame left the group at t={times[step + 1]:.6g}",
-                last_valid_time=float(times[step]),
+                f"non-finite state at t={times[j + 1]:.6g}", last_valid_time=float(times[j])
             )
-        velocities[step + 1] = u
-        frames[step + 1] = gamma
-        conserved[step + 1] = conserved_pair(u)
+        for j in range(b, e):
+            np.matmul(frames[j], polar[j - b], out=frames[j + 1])
+        frames[e] = _polar_retract(frames[e])[0]
 
-    return GeodesicTrajectory(metric, times, velocities, frames, conserved)
+    # (1, dim) @ (dim, 1) per sample: the same bits as each u @ gram @ Lambda u
+    gram = basis.biinv_gram
+    lu = metric.apply_raw(velocities)
+    conserved = np.concatenate(
+        [(v @ gram)[:, None, :] @ lu[:, :, None] for v in (velocities, lu)], axis=1
+    )[..., 0]
+    return GeodesicTrajectory(metric, times, velocities, frames, conserved, stages)
 
 
 def cheeger_geodesic_exact(metric, u0, t):

@@ -9,10 +9,13 @@ solution with y(0) = y(tau) = 0 and z(0) != 0, i.e. to the solution operator
 Omega(t): z0 -> y(t) (with y(0) = 0) becoming singular.
 
 (y, z) is carried through the same classical RK4 stages as the geodesic
-itself: step i evaluates the coefficients at the four stage velocities of the
-integrator's step from u(t_i), so (u, y, z) is one RK4 on the augmented system
-and u is never interpolated.  Off the grid, Omega(t) is one step of length
-t - t_i from the checkpoint at the grid node t_i before t.
+itself: step i evaluates the coefficients at the four stage velocities the
+integrator stored for its step from u(t_i), so (u, y, z) is one RK4 on the
+augmented system and u is never interpolated.  The system is linear, so each
+step is one 2dim x 2dim RK4 step map (``rk4_step_maps``), built STEP_BLOCK
+steps at a time and applied as a chain of products.  Off the grid, Omega(t)
+is one step of length t - t_i from the checkpoint at the grid node t_i
+before t.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Ad_matrix, AlgebraElement, GroupElement, ad_matrix_raw
-from .dynamics import rk4, rk4_stages, rk4_step
+from .dynamics import STEP_BLOCK, rk4_stages, rk4_step, rk4_step_maps
 from .errors import CriterionInapplicableError
 from .roots import golden_min, sign_changes
 
@@ -44,14 +47,10 @@ class JacobiSolution:
     def residual(self):
         """Max centered-difference residual of y' + ad_u y - z over the grid."""
         ts, ys, zs = self.times, self.y_samples, self.z_samples
-        basis = self.trajectory.basis
-        worst = 0.0
-        for i in range(1, len(ts) - 1):
-            dy = (ys[i + 1] - ys[i - 1]) / (ts[i + 1] - ts[i - 1])
-            u = self.trajectory.velocities[i]
-            r = dy + ad_matrix_raw(basis, u) @ ys[i] - zs[i]
-            worst = max(worst, float(np.linalg.norm(r)))
-        return worst
+        dy = (ys[2:] - ys[:-2]) / (ts[2:] - ts[:-2])[:, None]
+        ad = ad_matrix_raw(self.trajectory.basis, self.trajectory.velocities[1:-1])
+        r = dy + (ad @ ys[1:-1, :, None])[..., 0] - zs[1:-1]
+        return float(np.linalg.norm(r, axis=1).max(initial=0.0))
 
 
 @dataclass
@@ -97,27 +96,18 @@ class ConjugateReport:
         return json.dumps(self.to_json_dict(), **kwargs)
 
 
-STAGE_BLOCK = 256  # grid steps whose stage generators are built at once (bounds memory)
+def _step_maps(traj, us, h):
+    """RK4 step maps of [y; z]' = [[A, I], [0, F]] [y; z] for steps of length h.
 
-
-def _generators(traj, u, h):
-    """[[A, I], [0, F]] at the RK4 stage velocities of steps of length h from u.
-
-    A = -ad_U and F = ad*_U + ad*_(.) U drive the augmented state [y; z].
-    u is one velocity or a stack of them; the stage axis follows its
-    leading axes.
+    A = -ad_U and F = ad*_U + ad*_(.) U at the stage velocities U; us is a
+    (..., 4, dim) stack of them, one step per leading index.
     """
     metric, dim = traj.metric, traj.basis.dim
-    us = np.stack(rk4_stages(metric, u, h)[1], axis=-2)
     gen = np.zeros(us.shape[:-1] + (2 * dim, 2 * dim))
     gen[..., :dim, :dim] = -ad_matrix_raw(traj.basis, us)
     gen[..., :dim, dim:] = np.eye(dim)
     gen[..., dim:, dim:] = metric.ad_star_matrix_of(us) + metric.coad_force_matrix(us)
-    return gen
-
-
-def _jacobi_step(gen, x, h):
-    return rk4(lambda s, v: gen[s] @ v, x, h)[0]
+    return rk4_step_maps(gen, h)
 
 
 def _grid_step(traj):
@@ -136,10 +126,10 @@ def _propagate(traj, x, count):
     h = _grid_step(traj)
     xs = np.empty((count,) + x.shape)
     xs[0] = x
-    for b in range(0, count - 1, STAGE_BLOCK):
-        gens = _generators(traj, traj.velocities[b : min(b + STAGE_BLOCK, count - 1)], h)
-        for j, gen in enumerate(gens):
-            x = _jacobi_step(gen, x, h)
+    for b in range(0, count - 1, STEP_BLOCK):
+        maps = _step_maps(traj, traj.stages[b : min(b + STEP_BLOCK, count - 1)], h)
+        for j, step_map in enumerate(maps):
+            x = step_map @ x
             xs[b + j + 1] = x
     return xs
 
@@ -199,8 +189,8 @@ class _OmegaEvaluator:
     def omega(self, t):
         i = _checkpoint(self.times, t)
         s = t - float(self.times[i])
-        gen = _generators(self.traj, self.traj.velocities[i], s)
-        return _jacobi_step(gen, self.chk[i], s)[: self.dim]
+        us = np.stack(rk4_stages(self.traj.metric, self.traj.velocities[i], s)[1])
+        return (_step_maps(self.traj, us, s) @ self.chk[i])[: self.dim]
 
     def det(self, t):
         return float(np.linalg.det(self.omega(t)))
@@ -261,19 +251,20 @@ def find_conjugate_times(
     # even-multiplicity touches: loose local-minimum trigger on the ratio,
     # then refine and keep only dips that reach the relative threshold
     dip_trigger = max(1e-2, sigma_rel_threshold)
-    for i in range(max(i0, 1), len(ts) - 1):
-        if (
-            ratio[i] < dip_trigger
-            and sig_min[i] <= sig_min[i - 1]
-            and sig_min[i] <= sig_min[i + 1]
-        ):
-            # quadratic vertex of sigma_min^2 as the starting guess
-            t0, t1, t2 = float(ts[i - 1]), float(ts[i]), float(ts[i + 1])
-            f0, f1, f2 = sig_min[i - 1] ** 2, sig_min[i] ** 2, sig_min[i + 1] ** 2
-            denom = (t0 - t1) * (t0 - t2) * (t1 - t2)
-            a = (t2 * (f1 - f0) + t1 * (f0 - f2) + t0 * (f2 - f1)) / denom
-            t_star = golden_min(sigma_at, t0, t2, time_tol) if a > 0 else t1
-            add_event(float(t_star), "sigma-min-dip")
+    inner = np.arange(max(i0, 1), len(ts) - 1)
+    dips = inner[
+        (ratio[inner] < dip_trigger)
+        & (sig_min[inner] <= sig_min[inner - 1])
+        & (sig_min[inner] <= sig_min[inner + 1])
+    ]
+    for i in dips:
+        # quadratic vertex of sigma_min^2 as the starting guess
+        t0, t1, t2 = float(ts[i - 1]), float(ts[i]), float(ts[i + 1])
+        f0, f1, f2 = sig_min[i - 1] ** 2, sig_min[i] ** 2, sig_min[i + 1] ** 2
+        denom = (t0 - t1) * (t0 - t2) * (t1 - t2)
+        a = (t2 * (f1 - f0) + t1 * (f0 - f2) + t0 * (f2 - f1)) / denom
+        t_star = golden_min(sigma_at, t0, t2, time_tol) if a > 0 else t1
+        add_event(float(t_star), "sigma-min-dip")
 
     events.sort(key=lambda e: e.time)
     return ConjugateReport(

@@ -9,7 +9,7 @@ from liegeo import (
     group_exp,
     integrate_euler_arnold,
 )
-from liegeo.dynamics import rk4_stages
+from liegeo.dynamics import rk4, rk4_stages, rk4_step_maps
 
 
 def test_steady_direction_is_one_parameter_subgroup(so3, rigid3):
@@ -97,8 +97,58 @@ def test_rk4_stages_reproduce_the_trajectory(case, so3, rigid3, su3):
     u_next, stages = rk4_stages(m, traj.velocities[:-1], dt)
     assert np.array_equal(u_next, traj.velocities[1:])
     assert np.array_equal(stages[0], traj.velocities[:-1])
+    assert np.array_equal(traj.stages, np.stack(stages, axis=1))
     rows = np.array([m.ad_star_raw(u, u) for u in traj.velocities])
     assert np.array_equal(traj._slopes, rows)
+
+
+def _per_step_frames(m, u0, T, dt):
+    """Reference: RK4 on (u, gamma) and a polar retraction after every step."""
+    mats = m.basis.basis_matrices
+    n_steps = int(round(T / dt))
+    h = T / n_steps
+    u, gamma = np.array(u0.coords), np.eye(m.basis.matrix_size, dtype=mats.dtype)
+    frames = [gamma]
+    for _ in range(n_steps):
+        u, stages = rk4_stages(m, u, h)
+        gamma, _ = rk4(lambda s, g: g @ np.tensordot(stages[s], mats, axes=1), gamma, h)
+        w, _, vh = np.linalg.svd(gamma)
+        gamma = w @ vh
+        if np.iscomplexobj(gamma):
+            gamma = gamma * np.exp(-1j * np.angle(np.linalg.det(gamma)) / len(gamma))
+        frames.append(gamma)
+    return np.array(frames)
+
+
+@pytest.mark.parametrize("case", ["rigid-so3", "rigid-so4", "zeitlin-su3"])
+def test_step_map_frames_match_per_step_polar_rk4(case, so3, so4, rigid3, su3):
+    if case == "rigid-so3":
+        m, u0 = rigid3, so3.element([0.4, 0.3, 0.8])
+    elif case == "rigid-so4":
+        m = MetricOperator.rigid_body(so4, [1.0, 2.0, 3.0, 4.5])
+        u0 = so4.element([0.4, -0.2, 0.3, 0.7, 0.1, -0.5])
+    else:
+        m = MetricOperator.cheeger(su3, -2.0 / 3.0)
+        u0 = su3.element([0.4, 0.1, 0.3, 0.2, 0.5, 0.1, 0.2, 0.3])
+    # 700 steps: two full blocks of step maps and a partial one
+    traj = integrate_euler_arnold(m, u0, T=1.4, dt=2e-3)
+    ref = _per_step_frames(m, u0, T=1.4, dt=2e-3)
+    assert np.abs(traj.frames - ref).max() < 1e-12
+    eye = np.eye(m.basis.matrix_size)
+    defect = np.abs(np.swapaxes(traj.frames, 1, 2).conj() @ traj.frames - eye).max()
+    assert defect < 1e-13
+    if np.iscomplexobj(traj.frames):
+        assert np.abs(np.linalg.det(traj.frames) - 1.0).max() < 1e-13
+
+
+def test_rk4_step_maps_apply_one_rk4_step(rng):
+    # the map of x' = G_s x is the step rk4 takes, for a batch of steps
+    gens = rng.standard_normal((5, 4, 6, 6))
+    x = rng.standard_normal((6, 2))
+    maps = rk4_step_maps(gens, 0.3)
+    for g, step_map in zip(gens, maps):
+        ref = rk4(lambda s, v: g[s] @ v, x, 0.3)[0]
+        assert np.abs(step_map @ x - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_closed_time_su2(su2):
@@ -118,10 +168,21 @@ def test_closed_time_incommensurate_none(su3):
 def test_divergence_reports_last_valid_time(so3, rigid3):
     from liegeo import IntegrationDivergedError
 
-    # a grossly oversized step makes the quadratic RHS blow up in finite steps
-    with pytest.raises(IntegrationDivergedError) as excinfo:
-        integrate_euler_arnold(rigid3, so3.element([50.0, 40.0, 30.0]), T=1000.0, dt=10.0)
-    assert 0.0 <= excinfo.value.last_valid_time < 1000.0
+    # grossly oversized steps make the quadratic RHS blow up in finite steps;
+    # the first failing step wins, the non-finite check before the orientation
+    cases = [
+        ([50.0, 40.0, 30.0], 1000.0, 10.0, "frame left the group at t=10", 0.0),
+        ([50.0, 40.0, 30.0], 100.0, 0.5, "frame left the group at t=0.5", 0.0),
+        ([50.0, 40.0, 30.0], 100.0, 0.2, "frame left the group at t=0.6", 0.4),
+        ([500.0, 400.0, 300.0], 100.0, 0.1, "frame left the group at t=0.1", 0.0),
+        ([15.0, 12.0, 9.0], 100.0, 10.0, "non-finite state at t=20", 10.0),
+        ([150.0, 120.0, 90.0], 10.0, 0.1, "non-finite state at t=0.3", 0.2),
+    ]
+    for u0, T, dt, message, last_valid in cases:
+        with pytest.raises(IntegrationDivergedError) as excinfo:
+            integrate_euler_arnold(rigid3, so3.element(u0), T=T, dt=dt)
+        assert str(excinfo.value) == message
+        assert excinfo.value.last_valid_time == last_valid
 
 
 def test_csv_export(tmp_path, su2):

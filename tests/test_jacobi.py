@@ -18,6 +18,7 @@ from liegeo import (
 )
 from liegeo import jacobi
 from liegeo.algebra import Ad_matrix, ad_matrix_raw
+from liegeo.dynamics import rk4, rk4_stages
 
 
 def berger_traj(su2, delta=-0.5, u0=(1.0, 1.0, 0.0), T=4.0, dt=1e-3):
@@ -41,6 +42,17 @@ def test_discrete_residual(su2):
         traj, su2.element(y0 / np.linalg.norm(y0)), su2.element(z0 / np.linalg.norm(z0))
     )
     assert sol.residual() < 1e-7
+    # the stacked residual is the per-node one
+    ts, ys, zs = sol.times, sol.y_samples, sol.z_samples
+    per_node = max(
+        np.linalg.norm(
+            (ys[i + 1] - ys[i - 1]) / (ts[i + 1] - ts[i - 1])
+            + ad_matrix_raw(su2, traj.velocities[i]) @ ys[i]
+            - zs[i]
+        )
+        for i in range(1, len(ts) - 1)
+    )
+    assert abs(sol.residual() - per_node) <= 1e-15 * per_node
 
 
 def test_closed_geodesic_particular_solution(su2):
@@ -166,10 +178,37 @@ def test_one_step_restart_reproduces_checkpoint(case, su2, su3):
     ts, dim = ev.times, traj.basis.dim
     for i in (0, 1, 300, len(ts) // 2 + 1, len(ts) - 2):
         s = float(ts[i + 1] - ts[i])
-        gen = jacobi._generators(traj, traj.velocities[i], s)
-        omega = jacobi._jacobi_step(gen, ev.chk[i], s)[:dim]
+        us = np.stack(rk4_stages(traj.metric, traj.velocities[i], s)[1])
+        omega = (jacobi._step_maps(traj, us, s) @ ev.chk[i])[:dim]
         ref = ev.y_chk[i + 1]
         assert np.linalg.norm(omega - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("case", ["berger", "zeitlin-su3"])
+def test_step_map_checkpoints_match_per_step_rk4(case, su2, su3):
+    if case == "berger":
+        traj = berger_traj(su2, T=2.0)
+    else:
+        m = MetricOperator.cheeger(su3, -2.0 / 3.0)
+        u0 = su3.element([0.4, 0.1, 0.3, 0.2, 0.5, 0.1, 0.2, 0.3])
+        traj = integrate_euler_arnold(m, u0, T=2.0, dt=1e-3)
+    m, basis, dim = traj.metric, traj.basis, traj.basis.dim
+    h = traj.duration() / (len(traj.times) - 1)
+    chk = jacobi.solution_operator(traj)
+    x = np.vstack([np.zeros((dim, dim)), np.eye(dim)])
+    worst = 0.0
+    for i, us in enumerate(traj.stages):
+        gens = []
+        for u in us:
+            gen = np.zeros((2 * dim, 2 * dim))
+            gen[:dim, :dim] = -ad_matrix_raw(basis, u)
+            gen[:dim, dim:] = np.eye(dim)
+            gen[dim:, dim:] = m.ad_star_matrix_of(u) + m.coad_force_matrix(u)
+            gens.append(gen)
+        x = rk4(lambda s, v: gens[s] @ v, x, h)[0]
+        omega = chk[i + 1].omega
+        worst = max(worst, np.linalg.norm(omega - x[:dim]) / np.linalg.norm(omega))
+    assert worst <= 1e-13
 
 
 def test_steady_detection_matches_block_scan(so3, rigid3):
