@@ -29,6 +29,17 @@ def matrix_form(u, v):
     return float(np.real(-0.5 * np.trace(u @ v)))
 
 
+def _forms(a, b):
+    """matrix_form of each matrix of a (..., n, n) stack with each of b (k, n, n).
+
+    Returns (..., k).  The diagonal of a @ b is summed as np.trace sums it,
+    so on builder bases (at most one nonzero per column of every b) each
+    entry has the bits of matrix_form.
+    """
+    diag = np.einsum("...ij,kji->...ki", a, b)
+    return -0.5 * np.real(diag.sum(axis=-1))
+
+
 class StructuredBasis:
     """Ordered basis of a matrix Lie algebra with cached structure data.
 
@@ -56,9 +67,7 @@ class StructuredBasis:
         self.labels = list(labels)
         self.subalgebra_dim = int(subalgebra_dim)
 
-        self.biinv_gram = np.array(
-            [[matrix_form(a, b) for b in mats] for a in mats]
-        )
+        self.biinv_gram = _forms(mats, mats)
         self._gram_inv = np.linalg.inv(self.biinv_gram)
         self.structure_constants = self._compute_structure_constants()
         self.structure_constants.setflags(write=False)
@@ -70,16 +79,20 @@ class StructuredBasis:
     # -- construction helpers -------------------------------------------------
 
     def _compute_structure_constants(self):
+        # all commutators [b_i, b_j], i < j, at once; c[j, i] = -c[i, j]
+        mats = self.basis_matrices
+        i, j = np.triu_indices(self.dim, 1)
+        bi, bj = mats[i], mats[j]
+        coeff = self._from_forms(_forms(bi @ bj - bj @ bi, mats))
         c = np.zeros((self.dim, self.dim, self.dim))
-        for i in range(self.dim):
-            bi = self.basis_matrices[i]
-            for j in range(i + 1, self.dim):
-                comm = bi @ self.basis_matrices[j] - self.basis_matrices[j] @ bi
-                pair = np.array([matrix_form(comm, b) for b in self.basis_matrices])
-                coeff = self._gram_inv @ pair
-                c[i, j] = coeff
-                c[j, i] = -coeff
+        c[i, j] = coeff
+        c[j, i] = -coeff
         return c
+
+    def _from_forms(self, forms):
+        """Coordinates from the (..., dim) pairings with the basis: Gram^-1 on the last axis."""
+        # one matrix-vector product per row, as Gram^-1 @ pair for a single vector
+        return (self._gram_inv @ forms[..., None])[..., 0]
 
     def identity_residuals(self):
         """Max residuals of the Lie identities on the structure constants.
@@ -89,15 +102,22 @@ class StructuredBasis:
         ``split [h,h] in h`` and ``split [h,hp] in hp``.
         """
         c = self.structure_constants
-        jac = (
-            np.einsum("ijm,mkl->ijkl", c, c)
-            + np.einsum("jkm,mil->ijkl", c, c)
-            + np.einsum("kim,mjl->ijkl", c, c)
-        )
+        d = self.dim
+        rows, cols = c.reshape(d, d * d), c.reshape(d * d, d)
+        # cyclic sum [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j], one
+        # (dim, dim, dim) block per i: no dim^4 array
+        jac = 0.0
+        for i in range(d):
+            block = (
+                (c[i] @ rows).reshape(d, d, d)
+                + (cols @ c[:, i, :]).reshape(d, d, d)
+                + (c[:, i, :] @ rows).reshape(d, d, d).transpose(1, 0, 2)
+            )
+            jac = max(jac, float(np.abs(block).max()))
         g = self.biinv_gram
         adinv = np.einsum("ijm,mk->ijk", c, g) + np.einsum("ikm,jm->ijk", c, g)
         out = {
-            "jacobi-identity": float(np.abs(jac).max()),
+            "jacobi-identity": jac,
             "ad-invariance": float(np.abs(adinv).max()),
         }
         m = self.subalgebra_dim
@@ -137,9 +157,8 @@ class StructuredBasis:
             raise KeyError(f"no basis element labeled {label!r} in {self.name}")
 
     def coords_of(self, matrix):
-        """Coordinates of an algebra-valued matrix relative to this basis."""
-        pair = np.array([matrix_form(matrix, b) for b in self.basis_matrices])
-        return self._gram_inv @ pair
+        """Coordinates of an algebra-valued matrix, or of each of a (..., n, n) stack."""
+        return self._from_forms(_forms(matrix, self.basis_matrices))
 
     def require_same(self, other):
         if self is not other:
@@ -377,7 +396,4 @@ def group_exp(x, t=1.0):
 def Ad_matrix(g):
     """Matrix of Ad_g on coordinates: columns are coords of g b_j g^{-1}."""
     ginv = g.matrix.conj().T
-    cols = [
-        g.basis.coords_of(g.matrix @ b @ ginv) for b in g.basis.basis_matrices
-    ]
-    return np.array(cols).T
+    return g.basis.coords_of(g.matrix @ g.basis.basis_matrices @ ginv).T

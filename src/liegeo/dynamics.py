@@ -22,16 +22,21 @@ def _polar_retract(m):
     """Nearest orthogonal/unitary matrices (polar factors) of a (..., n, n) stack.
 
     Unitary factors get the det-phase fix that puts them in SU(n).  Also
-    returns a mask of the real factors that flip orientation (the frame left
-    the special group), so callers can report divergence with a time.
+    returns a mask of the matrices whose frame left the group, so callers can
+    report divergence with a time: those that are numerically singular
+    (sigma_min <= n eps sigma_max, where the polar factor and its orientation
+    are rounding noise) and, for real ones, those whose factor flips
+    orientation.
     """
-    u, _, vh = np.linalg.svd(m)
+    u, s, vh = np.linalg.svd(m)
     q = u @ vh
     det = np.linalg.det(q)
+    n = q.shape[-1]
+    left = s[..., -1] <= n * np.finfo(float).eps * s[..., 0]
     if np.iscomplexobj(q):
-        phase = np.exp(-1j * np.angle(det) / q.shape[-1])
-        return q * phase[..., None, None], np.zeros(det.shape, dtype=bool)
-    return q, det < 0
+        phase = np.exp(-1j * np.angle(det) / n)
+        return q * phase[..., None, None], left
+    return q, left | (det < 0)
 
 
 class GeodesicTrajectory:
@@ -176,8 +181,8 @@ def integrate_euler_arnold(metric, u0, T, dt=None):
     maps and their polar factors are built STEP_BLOCK steps at a time and
     chained by one product, re-projected again at each block end.  Raises
     IntegrationDivergedError at the first step whose state is non-finite or
-    whose frame leaves the group (checked in that order), reporting the last
-    valid time.
+    whose frame leaves the group (checked in that order; a numerically
+    singular step map counts as leaving it), reporting the last valid time.
     """
     basis = metric.basis
     basis.require_same(u0.basis)
@@ -214,9 +219,9 @@ def integrate_euler_arnold(metric, u0, T, dt=None):
         finite = np.isfinite(maps).all(axis=(1, 2))
         finite &= np.isfinite(velocities[b + 1 : e + 1]).all(axis=1)
         good = e - b if finite.all() else int(np.argmin(finite))
-        polar, flipped = _polar_retract(maps[:good])
-        if flipped.any():
-            j = b + int(np.argmax(flipped))
+        polar, left = _polar_retract(maps[:good])
+        if left.any():
+            j = b + int(np.argmax(left))
             raise IntegrationDivergedError(
                 f"frame left the group at t={times[j + 1]:.6g}", last_valid_time=float(times[j])
             )
@@ -261,6 +266,13 @@ def cheeger_geodesic_exact(metric, u0, t):
     return GroupElement(basis, frame), AlgebraElement(basis, basis.coords_of(u_mat))
 
 
+def _local_minima_below(vals, level):
+    """Indices i, in order, with vals[i] < level and no larger than either neighbour."""
+    padded = np.concatenate([[np.inf], vals, [np.inf]])
+    mid = padded[1:-1]
+    return np.flatnonzero((mid < level) & (mid <= padded[:-2]) & (mid <= padded[2:]))
+
+
 def closed_biinvariant_time(metric, u0, horizon, n_samples=4096, tol=1e-8):
     """Smallest t in (0, horizon] with exp(t Lambda u0) = id, or None.
 
@@ -280,14 +292,7 @@ def closed_biinvariant_time(metric, u0, horizon, n_samples=4096, tol=1e-8):
     ts = np.linspace(0.0, horizon, n_samples + 1)[1:]
     vals = np.sqrt(np.sum(np.abs(np.exp(-1j * np.outer(ts, w)) - 1.0) ** 2, axis=1))
     # earliest closing time wins: walk the local minima in time order
-    candidates = [
-        i
-        for i in range(len(ts))
-        if vals[i] < 1e-2
-        and (i == 0 or vals[i] <= vals[i - 1])
-        and (i == len(ts) - 1 or vals[i] <= vals[i + 1])
-    ]
-    for i in candidates:
+    for i in _local_minima_below(vals, 1e-2).tolist():
         lo = ts[max(i - 1, 0)] if i > 0 else ts[i] / 2.0
         hi = ts[min(i + 1, len(ts) - 1)]
         t_min = golden_min(defect, lo, hi, 0.0, rtol=1e-14)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roots import bisect
+from .roots import bisect_many
 
 UNITS = ("momentum", "biinvariant", "metric")
 
@@ -48,6 +48,43 @@ class BergerFirstConjugate:
     branch: str  # 'sin-root' | 'tan-root' | 'steady-axis'
 
 
+_BRANCHES = ("steady-axis", "sin-root", "tan-root")
+
+
+def _sq(x):
+    # libm pow, the rounding of a scalar x**2; an array x**2 is x * x, which
+    # differs from it in the last bit for some x and would change the locus
+    return np.float_power(x, 2)
+
+
+def _first_times(delta, p, q):
+    """First positive zeros of the Berger determinant for arrays of |p0|, |q0|.
+
+    Returns the times and an index into _BRANCHES per element.  No element
+    may have p = q = 0.
+    """
+    r = np.sqrt((1.0 + delta) ** 2 * _sq(p) + _sq(q))
+    steady = q == 0.0
+    code = np.where(steady, 0, 1 if delta >= 0.0 else 2)
+    t = np.empty_like(r)
+    t[steady] = np.pi / ((1.0 + delta) * p[steady])
+    rest = ~steady
+    r = r[rest]
+    if delta >= 0.0:
+        t[rest] = np.pi / r
+        return t, code
+    p, q = p[rest], q[rest]
+    target = delta * _sq(q) / ((1.0 + delta) * ((1.0 + delta) * _sq(p) + _sq(q)))
+
+    def fn(x):
+        return np.tan(r * x) / (r * x) - target
+
+    lo = np.pi / (2.0 * r) * (1.0 + 1e-13)
+    hi = np.pi / r * (1.0 - 1e-13)
+    t[rest] = bisect_many(fn, lo, hi, fn(lo), 1e-12)
+    return t, code
+
+
 def berger_first_conjugate_time(delta, p_norm, q_norm):
     """First positive zero of the Berger determinant.
 
@@ -64,19 +101,8 @@ def berger_first_conjugate_time(delta, p_norm, q_norm):
         raise ValueError("delta must exceed -1")
     if p_norm == 0.0 and q_norm == 0.0:
         raise ValueError("direction must be nonzero")
-    r = berger_R(delta, p_norm, q_norm)
-    if q_norm == 0.0:
-        return BergerFirstConjugate(np.pi / ((1.0 + delta) * p_norm), "steady-axis")
-    if delta >= 0.0:
-        return BergerFirstConjugate(np.pi / r, "sin-root")
-    target = delta * q_norm**2 / ((1.0 + delta) * berger_S(delta, p_norm, q_norm))
-
-    def fn(t):
-        return np.tan(r * t) / (r * t) - target
-
-    lo = np.pi / (2.0 * r) * (1.0 + 1e-13)
-    hi = np.pi / r * (1.0 - 1e-13)
-    return BergerFirstConjugate(bisect(fn, lo, hi, fn(lo), 1e-12), "tan-root")
+    t, code = _first_times(delta, np.array([p_norm], dtype=float), np.array([q_norm], dtype=float))
+    return BergerFirstConjugate(float(t[0]), _BRANCHES[code[0]])
 
 
 @dataclass
@@ -97,6 +123,9 @@ class LocusSlice:
 def generate_locus_slice(delta, n_angles=720, unit="momentum"):
     """First-conjugate-time polar curve over a circle of initial directions.
 
+    All angles are solved at once: the branch of each is picked by a mask and
+    the tan roots are bisected together (``roots.bisect_many``).
+
     Direction conventions:
 
     * ``unit='momentum'`` (default): unit momentum Lambda u0, i.e.
@@ -113,22 +142,24 @@ def generate_locus_slice(delta, n_angles=720, unit="momentum"):
         raise ValueError("n_angles must be at least 8")
     if unit not in UNITS:
         raise ValueError(f"unit must be one of {UNITS}")
+    if delta <= -1.0:
+        raise ValueError("delta must exceed -1")
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    t_star = np.empty(n_angles)
-    branch = []
-    for i, th in enumerate(theta):
-        p, q = abs(np.cos(th)), abs(np.sin(th))
-        p, q = (0.0 if p < 1e-12 else p), (0.0 if q < 1e-12 else q)
-        if unit == "metric":
-            speed = np.sqrt((1.0 + delta) * p**2 + q**2)
-            p, q = p / speed, q / speed
-        elif unit == "momentum":
-            p = p / (1.0 + delta)
-        res = berger_first_conjugate_time(delta, p, q)
-        t_star[i] = res.time
-        branch.append(res.branch)
+    p, q = np.abs(np.cos(theta)), np.abs(np.sin(theta))
+    p[p < 1e-12] = 0.0
+    q[q < 1e-12] = 0.0
+    if unit == "metric":
+        speed = np.sqrt((1.0 + delta) * _sq(p) + _sq(q))
+        p, q = p / speed, q / speed
+    elif unit == "momentum":
+        p = p / (1.0 + delta)
+    t_star, code = _first_times(delta, p, q)
     return LocusSlice(
-        delta=float(delta), theta=theta, t_star=t_star, branch=branch, unit=unit
+        delta=float(delta),
+        theta=theta,
+        t_star=t_star,
+        branch=[_BRANCHES[c] for c in code],
+        unit=unit,
     )
 
 
@@ -139,11 +170,14 @@ def emit_locus_csv(slices, path, config_hash=None):
             fh.write(f"# config_hash: {config_hash}\n")
         fh.write("theta,t_star,x,y,delta\n")
         for sl in slices:
-            pts = sl.points
-            for th, ts, (x, y) in zip(sl.theta, sl.t_star, pts):
-                fh.write(
+            fh.write(
+                "".join(
                     f"{th:.17g},{ts:.17g},{x:.17g},{y:.17g},{sl.delta:.17g}\n"
+                    for th, ts, (x, y) in zip(
+                        sl.theta.tolist(), sl.t_star.tolist(), sl.points.tolist()
+                    )
                 )
+            )
 
 
 _SVG_COLORS = [

@@ -3,7 +3,9 @@
 Textbook bisection and golden-section search (Brent, *Algorithms for
 Minimization without Derivatives*, 1973), plus the sampled sign-change walk
 that feeds bisection.  Both loops stop after MAX_ITER iterations, so a zero
-tolerance still terminates.
+tolerance still terminates.  ``bisect_many`` runs ``bisect``'s rule on an
+array of brackets at once; scalar callers keep ``bisect``, which is cheaper
+per call.
 """
 
 from __future__ import annotations
@@ -32,6 +34,40 @@ def bisect(f, a, b, fa, xtol):
         else:
             a, fa = mid, fm
     return 0.5 * (a + b)
+
+
+def bisect_many(f, a, b, fa, xtol):
+    """``bisect`` applied to each bracket of the arrays a, b, fa at once.
+
+    f maps an array of points to an array of values, elementwise.  Each
+    element follows ``bisect``'s steps: same midpoint, same sign test, an
+    exactly zero midpoint returned at once, a stop once b - a <= xtol or
+    after MAX_ITER halvings.  f is evaluated on the whole array every
+    iteration; a finished element's result is recorded when it finishes,
+    and its bracket goes on shrinking unread.
+    """
+    a, b, fa = (np.array(x, dtype=float) for x in np.broadcast_arrays(a, b, fa))
+    out = np.empty_like(a)
+    live = np.ones(a.shape, dtype=bool)
+    for _ in range(MAX_ITER):
+        done = live & (b - a <= xtol)
+        if done.any():
+            out[done] = 0.5 * (a[done] + b[done])
+            live &= ~done
+        if not live.any():
+            return out
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        hit = live & (fm == 0.0)
+        if hit.any():
+            out[hit] = mid[hit]
+            live &= ~hit
+        left = (fa < 0) != (fm < 0)
+        b = np.where(left, mid, b)
+        a = np.where(left, a, mid)
+        fa = np.where(left, fa, fm)
+    out[live] = 0.5 * (a[live] + b[live])
+    return out
 
 
 def golden_min(f, a, b, xtol, rtol=0.0):

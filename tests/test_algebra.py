@@ -4,6 +4,7 @@ import pytest
 from liegeo import (
     Ad_matrix,
     InvalidDimensionError,
+    StructuredBasis,
     UnsupportedSplitError,
     biinv_form,
     bracket,
@@ -14,7 +15,7 @@ from liegeo import (
     project_h,
     project_h_perp,
 )
-from liegeo.algebra import ad_matrix, ad_matrix_raw, expm_skew
+from liegeo.algebra import ad_matrix, ad_matrix_raw, expm_skew, matrix_form
 
 
 def test_so_basis_shape(so3, so4):
@@ -172,12 +173,90 @@ def test_expm_skew_fallback_general_matrix(rng):
     assert np.abs(expm_skew(a) - scipy.linalg.expm(a)).max() < 1e-10
 
 
+def _jacobi_dim4(c):
+    """The cyclic Jacobi sum over all index quadruples, as one dim^4 array."""
+    return (
+        np.einsum("ijm,mkl->ijkl", c, c)
+        + np.einsum("jkm,mil->ijkl", c, c)
+        + np.einsum("kim,mjl->ijkl", c, c)
+    )
+
+
 def test_jacobi_identity_all_builders():
     for basis in (build_so_basis(5), build_su_basis(3), build_torus_basis(3)):
-        c = basis.structure_constants
-        jac = (
-            np.einsum("ijm,mkl->ijkl", c, c)
-            + np.einsum("jkm,mil->ijkl", c, c)
-            + np.einsum("kim,mjl->ijkl", c, c)
-        )
-        assert np.abs(jac).max() < 1e-12
+        assert np.abs(_jacobi_dim4(basis.structure_constants)).max() < 1e-12
+
+
+# -- batched structure data against the per-pair matrix_form loops ---------------------
+
+
+def _loop_gram(mats):
+    return np.array([[matrix_form(a, b) for b in mats] for a in mats])
+
+
+def _loop_coords(mats, gram_inv, matrix):
+    return gram_inv @ np.array([matrix_form(matrix, b) for b in mats])
+
+
+def _loop_structure_constants(mats, gram_inv):
+    dim = len(mats)
+    c = np.zeros((dim, dim, dim))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
+            c[i, j] = _loop_coords(mats, gram_inv, comm)
+            c[j, i] = -c[i, j]
+    return c
+
+
+def _scaled_so3():
+    # Gram diag(1, 4, 9): Gram^-1 applied on the wrong axis shows up here
+    mats = build_so_basis(3).basis_matrices * np.array([1.0, 2.0, 3.0])[:, None, None]
+    return StructuredBasis("so(3) scaled", mats, ["a", "b", "c"])
+
+
+_BASES = {
+    **{f"so{n}": lambda n=n: build_so_basis(n) for n in range(3, 9)},
+    **{f"su{n}": lambda n=n: build_su_basis(n) for n in range(2, 6)},
+    **{f"su{n}-split": lambda n=n: build_su_basis(n, True) for n in range(2, 6)},
+    "torus2": lambda: build_torus_basis(2),
+    "so3-scaled": _scaled_so3,
+}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("name", _BASES)
+def test_batched_basis_data_matches_pair_loops(name):
+    basis = _BASES[name]()
+    mats = basis.basis_matrices
+    gram = _loop_gram(mats)
+    gram_inv = np.linalg.inv(gram)
+    assert _bits(basis.biinv_gram) == _bits(gram)
+    assert _bits(basis.structure_constants) == _bits(_loop_structure_constants(mats, gram_inv))
+    rng = np.random.default_rng(basis.dim)
+    g = group_exp(basis.element(rng.standard_normal(basis.dim)), 0.9)
+    ginv = g.matrix.conj().T
+    conj = np.array([g.matrix @ b @ ginv for b in mats])
+    loop = np.array([_loop_coords(mats, gram_inv, m) for m in conj])
+    assert _bits(basis.coords_of(conj[0])) == _bits(loop[0])
+    assert _bits(basis.coords_of(conj)) == _bits(loop)
+    assert _bits(Ad_matrix(g)) == _bits(loop.T)
+
+
+def test_scaled_basis_coords_use_gram_inverse_on_last_axis():
+    basis = _scaled_so3()
+    assert np.array_equal(basis.biinv_gram, np.diag([1.0, 4.0, 9.0]))
+    rng = np.random.default_rng(4)
+    coords = rng.standard_normal((5, 3))
+    mats = np.einsum("ki,inm->knm", coords, basis.basis_matrices)
+    assert np.allclose(basis.coords_of(mats), coords, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", _BASES)
+def test_identity_residuals_match_dim4_reference(name):
+    basis = _BASES[name]()
+    ref = float(np.abs(_jacobi_dim4(basis.structure_constants)).max())
+    assert basis.identity_residuals()["jacobi-identity"] == ref

@@ -165,24 +165,73 @@ def test_closed_time_incommensurate_none(su3):
     assert closed_biinvariant_time(m, u0, horizon=30.0) is None
 
 
+def test_closed_time_local_minima_match_loop(su2, su3):
+    from liegeo.dynamics import _local_minima_below
+
+    def loop(vals, level):
+        n = len(vals)
+        return [
+            i
+            for i in range(n)
+            if vals[i] < level
+            and (i == 0 or vals[i] <= vals[i - 1])
+            and (i == n - 1 or vals[i] <= vals[i + 1])
+        ]
+
+    rng = np.random.default_rng(5)
+    cases = [
+        (MetricOperator.cheeger(su2, -0.5), su2.element([1.0, 1.0, 0.0]), 8.0),
+        (MetricOperator.cheeger(su2, 0.3), su2.element([0.0, 1.0, 0.0]), 40.0),
+        (MetricOperator.cheeger(su3, -0.4), su3.element(rng.standard_normal(su3.dim)), 30.0),
+    ]
+    for m, u0, horizon in cases:
+        lam = np.tensordot(m.apply_raw(u0.coords), m.basis.basis_matrices, axes=1)
+        w = np.linalg.eigvalsh(1j * np.asarray(lam, dtype=complex))
+        ts = np.linspace(0.0, horizon, 4097)[1:]
+        vals = np.sqrt(np.sum(np.abs(np.exp(-1j * np.outer(ts, w)) - 1.0) ** 2, axis=1))
+        for level in (1e-2, 0.5, np.inf):
+            assert _local_minima_below(vals, level).tolist() == loop(vals, level)
+    plateau = np.array([0.0, 0.0, 1.0, 0.5, 0.5, 2.0, 0.001])
+    assert _local_minima_below(plateau, 1.0).tolist() == loop(plateau, 1.0) == [0, 1, 3, 4, 6]
+
+
 def test_divergence_reports_last_valid_time(so3, rigid3):
     from liegeo import IntegrationDivergedError
 
     # grossly oversized steps make the quadratic RHS blow up in finite steps;
-    # the first failing step wins, the non-finite check before the orientation
+    # the first failing step wins, the non-finite check before the group check.
+    # A numerically singular step map counts as leaving the group, so the
+    # verdict does not hang on rounding: nudging u0 by one ulp keeps it.
     cases = [
         ([50.0, 40.0, 30.0], 1000.0, 10.0, "frame left the group at t=10", 0.0),
         ([50.0, 40.0, 30.0], 100.0, 0.5, "frame left the group at t=0.5", 0.0),
         ([50.0, 40.0, 30.0], 100.0, 0.2, "frame left the group at t=0.6", 0.4),
         ([500.0, 400.0, 300.0], 100.0, 0.1, "frame left the group at t=0.1", 0.0),
-        ([15.0, 12.0, 9.0], 100.0, 10.0, "non-finite state at t=20", 10.0),
-        ([150.0, 120.0, 90.0], 10.0, 0.1, "non-finite state at t=0.3", 0.2),
+        ([15.0, 12.0, 9.0], 100.0, 10.0, "frame left the group at t=10", 0.0),
+        ([150.0, 120.0, 90.0], 10.0, 0.1, "frame left the group at t=0.2", 0.1),
+        ([5.0, 4.0, 3.0], 30.0, 3.0, "frame left the group at t=6", 3.0),
+        ([5e100, 4e100, 3e100], 1.0, 0.1, "non-finite state at t=0.1", 0.0),
     ]
     for u0, T, dt, message, last_valid in cases:
-        with pytest.raises(IntegrationDivergedError) as excinfo:
-            integrate_euler_arnold(rigid3, so3.element(u0), T=T, dt=dt)
-        assert str(excinfo.value) == message
-        assert excinfo.value.last_valid_time == last_valid
+        for nudge in (0.0, np.inf, -np.inf):
+            u = np.array(u0) if nudge == 0.0 else np.nextafter(u0, nudge)
+            with pytest.raises(IntegrationDivergedError) as excinfo:
+                integrate_euler_arnold(rigid3, so3.element(u), T=T, dt=dt)
+            assert str(excinfo.value) == message
+            assert excinfo.value.last_valid_time == last_valid
+
+
+def test_polar_retract_flags_singular_maps():
+    from liegeo.dynamics import _polar_retract
+
+    rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    ratio = np.diag([1.0, 1.0, 1e-17])  # sigma_min / sigma_max below 3 eps
+    maps = np.stack([rot, rot @ ratio, -rot, rot @ np.diag([1.0, 1.0, 1e-14])])
+    q, left = _polar_retract(maps)
+    assert left.tolist() == [False, True, True, False]
+    _, left_c = _polar_retract(maps.astype(complex))
+    assert left_c.tolist() == [False, True, False, False]
+    assert np.abs(q[0] - rot).max() < 1e-15
 
 
 def test_csv_export(tmp_path, su2):

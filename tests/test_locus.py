@@ -3,6 +3,7 @@ import pytest
 
 from liegeo import berger_det, berger_first_conjugate_time, emit_locus, generate_locus_slice
 from liegeo.locus import emit_locus_csv, emit_locus_svg
+from liegeo.roots import bisect
 
 
 def test_det_delta_zero_unit_sphere():
@@ -142,3 +143,54 @@ def test_emit_files(tmp_path):
 def test_minimum_angles():
     with pytest.raises(ValueError):
         generate_locus_slice(0.0, n_angles=4)
+
+
+def _scalar_first_time(delta, p, q):
+    # the per-direction formula with scalar arithmetic and the scalar bisect
+    r = float(np.sqrt((1.0 + delta) ** 2 * p**2 + q**2))
+    if q == 0.0:
+        return np.pi / ((1.0 + delta) * p), "steady-axis"
+    if delta >= 0.0:
+        return np.pi / r, "sin-root"
+    target = delta * q**2 / ((1.0 + delta) * float((1.0 + delta) * p**2 + q**2))
+
+    def fn(t):
+        return np.tan(r * t) / (r * t) - target
+
+    lo = np.pi / (2.0 * r) * (1.0 + 1e-13)
+    hi = np.pi / r * (1.0 - 1e-13)
+    return bisect(fn, lo, hi, fn(lo), 1e-12), "tan-root"
+
+
+def _per_angle_loop(delta, n_angles, unit, stride):
+    # every angle against the scalar formula; every stride-th one also against
+    # berger_first_conjugate_time (a one-element call of the slice kernel)
+    times, branches = [], []
+    for i, th in enumerate(np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)):
+        p, q = abs(np.cos(th)), abs(np.sin(th))
+        p, q = (0.0 if p < 1e-12 else p), (0.0 if q < 1e-12 else q)
+        if unit == "metric":
+            speed = np.sqrt((1.0 + delta) * p**2 + q**2)
+            p, q = p / speed, q / speed
+        elif unit == "momentum":
+            p = p / (1.0 + delta)
+        time, branch = _scalar_first_time(delta, p, q)
+        if i % stride == 0:
+            res = berger_first_conjugate_time(delta, p, q)
+            assert (res.time, res.branch) == (time, branch)
+        times.append(time)
+        branches.append(branch)
+    return np.array(times), branches
+
+
+@pytest.mark.parametrize("unit", ["momentum", "biinvariant", "metric"])
+@pytest.mark.parametrize("n_angles", [8, 720])
+def test_slice_matches_per_angle_loop(unit, n_angles):
+    for delta in (-0.95, -0.5, -1e-9, 0.0, 0.7):
+        sl = generate_locus_slice(delta, n_angles=n_angles, unit=unit)
+        times, branches = _per_angle_loop(delta, n_angles, unit, stride=max(1, n_angles // 80))
+        assert sl.t_star.tobytes() == times.tobytes()
+        assert sl.branch == branches
+        # theta = 0 has q = 0 (steady axis); theta = pi/2 has p = 0
+        assert sl.branch[0] == "steady-axis"
+        assert sl.branch[n_angles // 4] == ("tan-root" if delta < 0 else "sin-root")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liegeo.roots import MAX_ITER, bisect, golden_min, sign_changes
+from liegeo.roots import MAX_ITER, bisect, bisect_many, golden_min, sign_changes
 
 
 def test_bisect_finds_known_root():
@@ -30,6 +30,62 @@ def test_bisect_terminates_with_zero_tolerance():
     root = bisect(f, 1.0, 2.0, -1.0, 0.0)
     assert root == pytest.approx(np.sqrt(2.0), abs=1e-15)
     assert len(calls) == MAX_ITER
+
+
+def _bisect_loop(f_at, a, b, fa, xtol):
+    return np.array(
+        [bisect(lambda t, i=i: f_at(i, t), a[i], b[i], fa[i], xtol) for i in range(len(a))]
+    )
+
+
+def test_bisect_many_matches_bisect_loop():
+    rng = np.random.default_rng(7)
+    n = 300
+    shift = rng.uniform(-2.0, 2.0, n)
+    a = shift - rng.uniform(0.1, 3.0, n)
+    b = shift + rng.uniform(0.1, 3.0, n)
+    scale = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 4.0, n)
+
+    # only correctly rounded operations, so array and scalar f agree bit for bit
+    def f_at(s, c, t):
+        g = t - c
+        return s * g * (g * g + 0.5)
+
+    fa = f_at(scale, shift, a)
+    for xtol in (1e-12, 1e-3, 0.0):
+        got = bisect_many(lambda t: f_at(scale, shift, t), a, b, fa, xtol)
+        want = _bisect_loop(lambda i, t: f_at(scale[i], shift[i], t), a, b, fa, xtol)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_bisect_many_exact_zero_midpoint_and_mixed_lengths():
+    # element 0 hits its root exactly at the first midpoint; element 1 is
+    # already shorter than xtol; element 2 needs the full bisection
+    a = np.array([0.0, 1.0, 1.0])
+    b = np.array([1.0, 1.0 + 1e-14, 2.0])
+    roots = np.array([0.5, 1.0, np.sqrt(2.0)])
+
+    def f(t):
+        return t - roots
+
+    got = bisect_many(f, a, b, f(a), 1e-12)
+    assert got[0] == 0.5
+    assert got[1] == 0.5 * (a[1] + b[1])
+    assert got[2] == bisect(lambda t: t - roots[2], 1.0, 2.0, 1.0 - roots[2], 1e-12)
+
+
+def test_bisect_many_zero_tolerance_stops_at_iteration_cap():
+    calls = []
+
+    def f(t):
+        calls.append(t.copy())
+        return t * t - np.array([2.0, 3.0])
+
+    a, b = np.array([1.0, 1.0]), np.array([2.0, 2.0])
+    got = bisect_many(f, a, b, f(a), 0.0)
+    assert len(calls) == MAX_ITER + 1
+    for i, c in enumerate((2.0, 3.0)):
+        assert got[i] == bisect(lambda t: t * t - c, 1.0, 2.0, 1.0 - c, 0.0)
 
 
 def test_golden_min_finds_known_minimum():
