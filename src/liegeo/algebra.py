@@ -56,7 +56,7 @@ class StructuredBasis:
             and the rest span its orthogonal complement; 0 means no split.
     """
 
-    def __init__(self, name, matrices, labels, subalgebra_dim=0, _validate=True):
+    def __init__(self, name, matrices, labels, subalgebra_dim=0):
         mats = np.asarray(matrices)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise InvalidDimensionError("basis matrices must be square and stacked")
@@ -73,8 +73,7 @@ class StructuredBasis:
         self.structure_constants.setflags(write=False)
         self.basis_matrices.setflags(write=False)
         self.biinv_gram.setflags(write=False)
-        if _validate:
-            self._validate()
+        self._validate()
 
     # -- construction helpers -------------------------------------------------
 

@@ -46,7 +46,7 @@ from .curvature import (
 from .criteria import (
     cheeger_nonsteady_condition,
     commuting_block_scan,
-    criterion_report_json,
+    criterion_report,
     index_form_tau,
     nonsteady_frame,
     nonsteady_quadratic_criterion,
@@ -96,12 +96,54 @@ DEFAULTS = {
     "tolerances": {
         "sigma_rel_threshold": 1e-6,
         "time_tol": 1e-9,
-        "steady_tol": 1e-10,
     },
+}
+
+# metric kind -> its one parameter field (None: the kind takes no parameter);
+# build_metric calls the MetricOperator constructor named after the kind
+METRIC_FIELDS = {
+    "rigid-body": "mu",
+    "diagonal": "lam",
+    "cheeger": "delta",
+    "generic": "matrix_file",
+    "biinvariant": None,
 }
 
 
 # -- config handling -----------------------------------------------------------------
+
+
+def _numbers(items):
+    """Floats of a sequence of strings or numbers; ConfigError on a bad one."""
+    try:
+        return [float(x) for x in items]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc))
+
+
+def _metric_spec(spec):
+    """The metric object with its kind checked and its numbers as floats."""
+    if not isinstance(spec, dict):
+        raise ConfigError("metric must be an object with a kind")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in METRIC_FIELDS:
+        raise ConfigError(f"unknown metric kind {kind!r}")
+    field = METRIC_FIELDS[kind]
+    for key in spec:
+        if key not in ("kind", field):
+            raise ConfigError(f"unknown metric field {key!r}")
+    if field is None:
+        return {"kind": kind}
+    if field not in spec:
+        raise ConfigError(f"metric {kind!r} is missing field {field!r}")
+    val = spec[field]
+    if field == "delta":
+        val = _numbers([val])[0]
+    elif field in ("mu", "lam") and isinstance(val, list):
+        val = _numbers(val)
+    elif not (field == "matrix_file" and isinstance(val, str)):
+        raise ConfigError(f"metric {field} has the wrong type")
+    return {"kind": kind, field: val}
 
 
 def normalize_config(raw, command=None):
@@ -116,12 +158,13 @@ def normalize_config(raw, command=None):
     for key, val in raw.items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config field {key!r}")
-        if key in ("metric", "tolerances") and isinstance(val, dict):
-            cfg[key] = {**cfg[key], **val} if key == "tolerances" else dict(val)
-        else:
-            cfg[key] = val
-    if not isinstance(cfg["metric"], dict):
-        raise ConfigError("metric must be an object with a kind")
+        if key == "tolerances" and isinstance(val, dict):
+            for name in val:
+                if name not in cfg[key]:
+                    raise ConfigError(f"unknown tolerance {name!r}")
+            val = {**cfg[key], **val}
+        cfg[key] = val
+    cfg["metric"] = _metric_spec(cfg["metric"])
     for field in ("group", "out"):
         if not isinstance(cfg[field], str):
             raise ConfigError(f"{field} must be a string")
@@ -191,25 +234,24 @@ def build_group(name):
 
 
 def build_metric(basis, spec):
-    kind = spec.get("kind")
+    """The metric of a normalized spec (see ``normalize_config``)."""
+    kind = spec["kind"]
     try:
-        if kind == "rigid-body":
-            return MetricOperator.rigid_body(basis, spec["mu"])
-        if kind == "diagonal":
-            return MetricOperator.diagonal(basis, spec["lam"])
-        if kind == "cheeger":
-            return MetricOperator.cheeger(basis, spec["delta"])
-        if kind == "generic":
-            with open(spec["matrix_file"]) as fh:
-                matrix = np.array(json.load(fh)["matrix"])
-            return MetricOperator.generic(basis, matrix)
-        if kind == "biinvariant":
+        if METRIC_FIELDS[kind] is None:
             return MetricOperator.biinvariant(basis)
+        param = spec[METRIC_FIELDS[kind]]
+        if kind == "generic":
+            with open(param) as fh:
+                param = np.array(json.load(fh)["matrix"])
+        return getattr(MetricOperator, kind.replace("-", "_"))(basis, param)
     except KeyError as exc:
         raise ConfigError(f"metric {kind!r} is missing field {exc}")
-    except (LieGeoError, OSError, ValueError) as exc:
+    except (LieGeoError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
-    raise ConfigError(f"unknown metric kind {kind!r}")
+
+
+def _metric(cfg):
+    return build_metric(build_group(cfg["group"]), cfg["metric"])
 
 
 def _coords(spec):
@@ -241,6 +283,20 @@ def build_initial(basis, spec):
     return basis.element(coords)
 
 
+def _output_dir(outdir):
+    """Create the output directory, once the results to write are in hand."""
+    os.makedirs(outdir, exist_ok=True)
+    return outdir
+
+
+def _write_json(path, doc, indent=2):
+    """Write doc with sorted keys and a final newline; returns the JSON text."""
+    text = json.dumps(doc, sort_keys=True, indent=indent)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+    return text
+
+
 def write_manifest(cfg, outdir, outputs):
     manifest = {
         "config": cfg,
@@ -250,11 +306,7 @@ def write_manifest(cfg, outdir, outputs):
         "outputs": sorted(outputs),
         "tolerances": cfg["tolerances"],
     }
-    path = os.path.join(outdir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
+    _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def _write_matrix_csv(path, matrix, header, chash):
@@ -265,75 +317,61 @@ def _write_matrix_csv(path, matrix, header, chash):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-# -- commands -------------------------------------------------------------------------
+# -- commands: each returns the paths it wrote; main adds the manifest ---------------
 
 
 def cmd_curvature(cfg):
-    basis = build_group(cfg["group"])
-    metric = build_metric(basis, cfg["metric"])
-    chash = config_hash(cfg)
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
-    outputs = []
+    metric = _metric(cfg)
+    basis = metric.basis
     ric = ricci_matrix(metric)
+    cheeger = metric.variant == "cheeger" and basis.subalgebra_dim
+    report = block_einstein_report(metric, ric) if cheeger else None
+    chash = config_hash(cfg)
+    outdir = _output_dir(cfg["out"])
     path = os.path.join(outdir, "ricci.csv")
     _write_matrix_csv(path, ric.matrix, ",".join(basis.labels), chash)
-    outputs.append(path)
     print(f"ricci matrix -> {path} (off-diagonal residual {ric.diagonality_residual:.3e})")
-    if metric.variant == "cheeger" and basis.subalgebra_dim:
-        report = block_einstein_report(metric, ric)
-        path = os.path.join(outdir, "block_einstein.json")
-        with open(path, "w") as fh:
-            json.dump({"config_hash": chash, **report}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        outputs.append(path)
-        print(
-            f"block-Einstein -> {path} (C1={report['C1']:.6g}, C2={report['C2']:.6g}, "
-            f"residual {report['residual']:.3e})"
-        )
-    outputs.append(write_manifest(cfg, outdir, outputs))
-    return EXIT_OK
+    if report is None:
+        return [path]
+    be_path = os.path.join(outdir, "block_einstein.json")
+    _write_json(be_path, {"config_hash": chash, **report})
+    print(
+        f"block-Einstein -> {be_path} (C1={report['C1']:.6g}, C2={report['C2']:.6g}, "
+        f"residual {report['residual']:.3e})"
+    )
+    return [path, be_path]
 
 
 def cmd_geodesic(cfg):
-    basis = build_group(cfg["group"])
-    metric = build_metric(basis, cfg["metric"])
-    u0 = build_initial(basis, cfg["u0"])
+    metric = _metric(cfg)
+    u0 = build_initial(metric.basis, cfg["u0"])
     traj = integrate_euler_arnold(metric, u0, cfg["T"], cfg["dt"])
-    chash = config_hash(cfg)
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "trajectory.csv")
-    traj.export_csv(path, config_hash=chash)
-    print(
-        f"geodesic -> {path} (conservation drift {traj.conservation_drift():.3e})"
-    )
-    write_manifest(cfg, outdir, [path])
-    return EXIT_OK
+    path = os.path.join(_output_dir(cfg["out"]), "trajectory.csv")
+    traj.export_csv(path, config_hash=config_hash(cfg))
+    print(f"geodesic -> {path} (conservation drift {traj.conservation_drift():.3e})")
+    return [path]
 
 
 def _criterion_document(cfg, metric, u0):
-    """Run the selected criterion; returns (json_text, had_verdict)."""
+    """Run the selected criterion; returns its report dict."""
     name = cfg["criterion"]
-    basis = metric.basis
     if name == "steady-det":
         crit = steady_operators(metric, u0)
         if crit.status != "applicable":
             raise CriterionInapplicableError(f"steady criterion: {crit.status}")
         report = steady_determinant_scan(crit, horizon=cfg["T"] / 2.0)
-        return criterion_report_json(crit, report), True
+        return criterion_report(crit, report)
     if name == "steady-blocks":
         data, report = commuting_block_scan(metric, u0)
-        return criterion_report_json(data, report), True
+        return criterion_report(data, report)
     if name == "misiolek":
         scan = misiolek_scan(metric, u0, seed=cfg["seed"])
-        doc = {
+        return criterion_report({
             "criterion": "misiolek",
             "status": scan.verdict(),
             "minimum": scan.minimum,
             "n_evaluated": scan.n_evaluated,
-        }
-        return criterion_report_json(doc), True
+        })
     if name == "cheeger":
         if metric.variant != "cheeger":
             raise CriterionInapplicableError("the Cheeger criterion needs a Cheeger metric")
@@ -342,77 +380,55 @@ def _criterion_document(cfg, metric, u0):
         except UnsupportedSplitError as exc:
             raise CriterionInapplicableError(str(exc))
         ok = cheeger_nonsteady_condition(metric.delta, p0, q0)
-        doc = {
+        return criterion_report({
             "criterion": "cheeger",
             "status": "conjugate-point-guaranteed" if ok else "condition-violated",
             "delta": metric.delta,
-        }
-        return criterion_report_json(doc), True
+        })
     if name == "nonsteady-phi":
         traj = integrate_euler_arnold(metric, u0, cfg["T"], cfg["dt"])
-        verdict, frame = nonsteady_quadratic_criterion(traj)
+        verdict, _ = nonsteady_quadratic_criterion(traj)
         extra = {}
         if verdict.verdict == "satisfied-on-horizon":
             extra["index_form_tau"] = index_form_tau(verdict.psi_min, verdict.phi_min)
-        return criterion_report_json(verdict, **extra), True
+        return criterion_report(verdict, **extra)
     if name == "closed":
         traj = integrate_euler_arnold(metric, u0, cfg["T"], cfg["dt"])
         tau = closed_biinvariant_time(metric, u0, horizon=cfg["T"])
         if tau is None:
-            doc = {"criterion": "closed", "status": "no-closed-time-on-horizon"}
-            return criterion_report_json(doc), True
+            return criterion_report({"criterion": "closed", "status": "no-closed-time-on-horizon"})
         verdict = closed_geodesic_conjugacy(traj, tau)
-        doc = {
+        certified = verdict.conjugate_at_or_before_tau
+        return criterion_report({
             "criterion": "closed",
-            "status": "conjugate-at-or-before-tau"
-            if verdict.conjugate_at_or_before_tau
-            else "not-certified",
+            "status": "conjugate-at-or-before-tau" if certified else "not-certified",
             "tau": verdict.tau,
             "isometry_ok": verdict.isometry_ok,
             "field_norm_at_tau": verdict.field_norm_at_tau,
-        }
-        return criterion_report_json(doc), True
+        })
     raise ConfigError(f"unknown criterion {name!r}")
 
 
 def cmd_conjugate(cfg):
-    basis = build_group(cfg["group"])
-    metric = build_metric(basis, cfg["metric"])
-    u0 = build_initial(basis, cfg["u0"])
-    chash = config_hash(cfg)
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
+    metric = _metric(cfg)
+    u0 = build_initial(metric.basis, cfg["u0"])
     if cfg["criterion"] is None:
         traj = integrate_euler_arnold(metric, u0, cfg["T"], cfg["dt"])
-        report = find_conjugate_times(
-            traj,
-            sigma_rel_threshold=cfg["tolerances"]["sigma_rel_threshold"],
-            time_tol=cfg["tolerances"]["time_tol"],
-        )
-        doc = json.dumps(
-            {"config_hash": chash, **report.to_json_dict()}, sort_keys=True
-        )
+        doc = find_conjugate_times(traj, **cfg["tolerances"]).to_json_dict()
     else:
-        text, _ = _criterion_document(cfg, metric, u0)
-        doc = json.dumps({"config_hash": chash, **json.loads(text)}, sort_keys=True)
-    path = os.path.join(outdir, "conjugate.json")
-    with open(path, "w") as fh:
-        fh.write(doc + "\n")
+        doc = _criterion_document(cfg, metric, u0)
+    path = os.path.join(_output_dir(cfg["out"]), "conjugate.json")
+    text = _write_json(path, {"config_hash": config_hash(cfg), **doc}, indent=None)
     print(f"conjugate report -> {path}")
-    print(doc)
-    write_manifest(cfg, outdir, [path])
-    return EXIT_OK
+    print(text)
+    return [path]
 
 
 def cmd_steady(cfg):
-    basis = build_group(cfg["group"])
-    metric = build_metric(basis, cfg["metric"])
-    u0 = build_initial(basis, cfg["u0"])
-    chash = config_hash(cfg)
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
+    metric = _metric(cfg)
+    u0 = build_initial(metric.basis, cfg["u0"])
     crit = steady_operators(metric, u0)
-    doc = {"config_hash": chash, "operators": crit.to_json_dict()}
+    doc = {"config_hash": config_hash(cfg), "operators": crit.to_json_dict()}
     if crit.status == "applicable":
         scan = steady_determinant_scan(crit, horizon=cfg["T"] / 2.0)
         doc["determinant_scan"] = scan.to_json_dict()
@@ -424,36 +440,26 @@ def cmd_steady(cfg):
         doc["blocks"] = {"status": "inapplicable", "reason": str(exc)}
     scan = misiolek_scan(metric, u0, seed=cfg["seed"])
     doc["misiolek"] = {"minimum": scan.minimum, "status": scan.verdict()}
-    path = os.path.join(outdir, "steady.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path = os.path.join(_output_dir(cfg["out"]), "steady.json")
+    _write_json(path, doc)
     print(f"steady analysis -> {path}")
-    write_manifest(cfg, outdir, [path])
-    return EXIT_OK
+    return [path]
 
 
 def cmd_locus(cfg):
-    chash = config_hash(cfg)
+    slices = [generate_locus_slice(d, cfg["angles"], unit=cfg["unit"]) for d in cfg["deltas"]]
     out = cfg["out"]
     if out.endswith(".svg"):
+        _output_dir(os.path.dirname(out) or ".")
         svg_path, csv_path = out, out[:-4] + ".csv"
-        outdir = os.path.dirname(out) or "."
-        os.makedirs(outdir, exist_ok=True)
     else:
-        os.makedirs(out, exist_ok=True)
-        svg_path = os.path.join(out, "locus.svg")
+        svg_path = os.path.join(_output_dir(out), "locus.svg")
         csv_path = os.path.join(out, "locus.csv")
-        outdir = out
-    slices = [
-        generate_locus_slice(d, cfg["angles"], unit=cfg["unit"])
-        for d in cfg["deltas"]
-    ]
+    chash = config_hash(cfg)
     emit_locus_csv(slices, csv_path, config_hash=chash)
     emit_locus_svg(slices, svg_path, config_hash=chash)
     print(f"locus -> {svg_path}, {csv_path} (unit: {cfg['unit']})")
-    write_manifest(cfg, outdir, [svg_path, csv_path])
-    return EXIT_OK
+    return [svg_path, csv_path]
 
 
 # -- verify: the oracle/invariant gate ------------------------------------------------
@@ -686,30 +692,17 @@ def _add_common(parser):
     parser.add_argument("--out", help="output directory (or .svg path for locus)")
 
 
-def _numbers(items):
-    """Floats of a sequence of command-line strings; ConfigError on a bad one."""
-    try:
-        return [float(x) for x in items]
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def _parse_metric_tokens(tokens):
     kind = tokens[0]
-    if kind in ("biinvariant",):
+    field = METRIC_FIELDS.get(kind, "")
+    if field is None:
         return {"kind": kind}
     if len(tokens) < 2:
         raise ConfigError(f"metric {kind!r} needs a parameter")
-    arg = tokens[1]
-    if kind == "rigid-body":
-        return {"kind": kind, "mu": _numbers(arg.split(","))}
-    if kind == "diagonal":
-        return {"kind": kind, "lam": _numbers(arg.split(","))}
-    if kind == "cheeger":
-        return {"kind": kind, "delta": _numbers([arg])[0]}
-    if kind == "generic":
-        return {"kind": kind, "matrix_file": arg}
-    raise ConfigError(f"unknown metric kind {kind!r}")
+    if not field:
+        raise ConfigError(f"unknown metric kind {kind!r}")
+    # numbers stay text here; normalize_config converts them
+    return {"kind": kind, field: tokens[1].split(",") if field in ("mu", "lam") else tokens[1]}
 
 
 def _parse_u0(text):
@@ -731,16 +724,11 @@ def _fold_dashed_values(argv):
     start with a minus sign.
     """
     out = []
-    fold = {"--deltas", "--u0"}
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in fold and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in ("--deltas", "--u0") and tok.startswith("-"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -763,6 +751,14 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
+# config fields whose flag text needs parsing; every other flag is copied as given
+FLAG_PARSERS = {
+    "metric": _parse_metric_tokens,
+    "u0": _parse_u0,
+    "deltas": lambda text: _numbers(text.split(",")),
+}
+
+
 def config_from_args(args):
     raw = {}
     if args.config:
@@ -773,34 +769,19 @@ def config_from_args(args):
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError(f"config {args.config!r} must hold a JSON object")
-    if args.group:
-        raw["group"] = args.group
-    if args.metric:
-        raw["metric"] = _parse_metric_tokens(args.metric)
-    if args.u0:
-        raw["u0"] = _parse_u0(args.u0)
-    for field in ("T", "dt", "seed", "out"):
+    for field in DEFAULTS:
         val = getattr(args, field, None)
         if val is not None:
-            raw[field] = val
-    if getattr(args, "criterion", None):
-        raw["criterion"] = args.criterion
-    if getattr(args, "deltas", None):
-        raw["deltas"] = _numbers(args.deltas.split(","))
-    if getattr(args, "angles", None):
-        raw["angles"] = args.angles
-    if getattr(args, "unit", None):
-        raw["unit"] = args.unit
+            raw[field] = FLAG_PARSERS[field](val) if field in FLAG_PARSERS else val
     return normalize_config(raw, args.command)
 
 
-COMMANDS = {
+WRITERS = {
     "curvature": cmd_curvature,
     "geodesic": cmd_geodesic,
     "conjugate": cmd_conjugate,
     "steady": cmd_steady,
     "locus": cmd_locus,
-    "verify": cmd_verify,
 }
 
 
@@ -808,11 +789,11 @@ def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         cfg = config_from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return COMMANDS[args.command](cfg)
+        if args.command == "verify":
+            return cmd_verify(cfg)
+        outputs = WRITERS[args.command](cfg)
+        write_manifest(cfg, os.path.dirname(outputs[0]), outputs)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

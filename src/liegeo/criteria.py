@@ -14,7 +14,6 @@ explicitly known functions of generalized trigonometric type.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,8 @@ from .roots import bisect, golden_min, sign_changes
 STEADY_TOL = 1e-10
 SYLVESTER_RELATIVE_CUTOFF = 1e-10
 COMMUTATION_TOL = 1e-9
+L2_COMMUTATION_TOL = 1e-12   # rigid_body_L2_check, relative to |Lambda|
+ENDPOINT_TOL = 1e-10         # index_form_value: |y| at both ends of the test field
 GRID_BLOCK = 256           # tau samples per stacked determinant evaluation
 
 
@@ -491,14 +492,14 @@ def commuting_block_scan(m, u0):
     return data, report
 
 
-def rigid_body_L2_check(m, u0, tol=1e-12):
+def rigid_body_L2_check(m, u0):
     """Whether ad_{u0}^2 commutes with Lambda (computed, not assumed)."""
     basis = m.basis
     basis.require_same(u0.basis)
     l = ad_matrix_raw(basis, u0.coords)
     l2 = l @ l
     lam = m.matrix
-    return float(np.linalg.norm(l2 @ lam - lam @ l2)) < tol * max(
+    return float(np.linalg.norm(l2 @ lam - lam @ l2)) < L2_COMMUTATION_TOL * max(
         1.0, float(np.linalg.norm(lam))
     )
 
@@ -519,13 +520,13 @@ class NonsteadyFrame:
     orthogonality_residual: float
 
 
-def nonsteady_frame(traj, steady_tol=1e-8):
+def nonsteady_frame(traj):
     """The frame (v1, v2, v3) = (u'/g(u',u'), k Lambda u - l u, u) per sample.
 
     Also evaluates w = v1' + ad_u v1 and x = Lambda w + ad_{v1} Lambda u,
     with v1' computed analytically through u'' = ad*_{u'} u + ad*_u u'.
     """
-    if traj.is_steady(steady_tol):
+    if traj.is_steady():
         raise CriterionInapplicableError("nonsteady frame needs a nonsteady geodesic")
     m = traj.metric
     basis = traj.basis
@@ -624,11 +625,11 @@ def nonsteady_quadratic_criterion(traj, horizon=None):
     return NonsteadyVerdict(verdict, psi_min, phi_min, float(horizon)), frame
 
 
-def index_form_tau(psi_min, phi_min, margin=1.0):
+def index_form_tau(psi_min, phi_min):
     """Horizon at which the two-sine test field makes the index form negative."""
     if psi_min <= 0 or phi_min <= 0:
         raise CriterionInapplicableError("psi and phi must be positive")
-    return margin * 2.0 * np.pi / np.sqrt(psi_min * phi_min)
+    return 2.0 * np.pi / np.sqrt(psi_min * phi_min)
 
 
 def cheeger_nonsteady_condition(delta, p0, q0):
@@ -650,7 +651,7 @@ def cheeger_nonsteady_condition(delta, p0, q0):
     return bool(lhs < rhs)
 
 
-def index_form_value(traj, y_samples, tau, endpoint_tol=1e-10):
+def index_form_value(traj, y_samples, tau):
     """I(y,y) = integral of <Lambda z + ad_y Lambda u, z> dt over [0, tau].
 
     z is recovered from the samples as y' + ad_u y with centered differences;
@@ -660,7 +661,7 @@ def index_form_value(traj, y_samples, tau, endpoint_tol=1e-10):
     i_tau = traj.index_of_time(tau, tol=1e-6)
     ts = traj.times[: i_tau + 1]
     ys = np.asarray(y_samples)[: i_tau + 1]
-    if np.linalg.norm(ys[0]) > endpoint_tol or np.linalg.norm(ys[-1]) > endpoint_tol:
+    if np.linalg.norm(ys[0]) > ENDPOINT_TOL or np.linalg.norm(ys[-1]) > ENDPOINT_TOL:
         raise ValueError("test field must vanish at both endpoints")
     m = traj.metric
     basis = traj.basis
@@ -715,8 +716,8 @@ def cheeger_index_test_field(traj, frame, tau):
     return ys
 
 
-def criterion_report_json(obj, conjugate_report=None, **extra):
-    """Uniform JSON document {criterion, status, conjugate_times, diagnostics}."""
+def criterion_report(obj, conjugate_report=None, **extra):
+    """Uniform report dict {criterion, status, conjugate_times, diagnostics}."""
     doc = obj.to_json_dict() if hasattr(obj, "to_json_dict") else dict(obj)
     doc.setdefault("status", "applicable")
     doc["conjugate_times"] = (
@@ -733,4 +734,4 @@ def criterion_report_json(obj, conjugate_report=None, **extra):
         ]
         doc["diagnostics"]["tolerances"] = conjugate_report.tolerances
     doc["diagnostics"].update(extra)
-    return json.dumps(doc, sort_keys=True)
+    return doc

@@ -10,6 +10,8 @@ from .algebra import ad_matrix_raw, project_h, project_h_perp
 from .errors import CriterionInapplicableError, UnsupportedSplitError
 
 RICCI_DIAG_TOL = 1e-10
+CARTAN_TOL = 1e-12    # cartan_condition_check: max |c| outside h
+KILLING_TOL = 1e-9    # beta_constants: relative spread of the per-vector values
 
 
 def _raw(m, x):
@@ -145,13 +147,13 @@ def ricci_rigid_closed_form(n, lam=None, mu=None):
     return np.array(out)
 
 
-def cartan_condition_check(basis, tol=1e-12):
+def cartan_condition_check(basis):
     """Whether [h-perp, h-perp] lands inside h."""
     m = basis.subalgebra_dim
     if not m:
         raise UnsupportedSplitError(f"{basis.name} has no subalgebra split")
     c = basis.structure_constants
-    return float(np.abs(c[m:, m:, m:]).max()) < tol
+    return float(np.abs(c[m:, m:, m:]).max()) < CARTAN_TOL
 
 
 def cheeger_sectional(m, u, v):
@@ -197,7 +199,7 @@ def cheeger_sectional(m, u, v):
     )
 
 
-def beta_constants(basis, tol=1e-9):
+def beta_constants(basis):
     """(beta_G, beta_H) with Tr(ad_v ad_v) = -beta |v|^2, computed numerically.
 
     beta_G uses the full algebra; beta_H restricts to the subalgebra block
@@ -214,7 +216,7 @@ def beta_constants(basis, tol=1e-9):
             sub = ad_i[np.ix_(block, block)]
             vals.append(-np.trace(sub @ sub))
         vals = np.array(vals)
-        if np.ptp(vals) > tol * max(1.0, np.abs(vals).max()):
+        if np.ptp(vals) > KILLING_TOL * max(1.0, np.abs(vals).max()):
             raise ValueError(
                 f"inconsistent Killing constant across basis vectors: {vals}"
             )

@@ -11,10 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraElement, GroupElement, expm_skew
-from .errors import IntegrationDivergedError, MetricConstructionError
+from .errors import ConfigError, IntegrationDivergedError, MetricConstructionError
 from .roots import golden_min
 
 CONSERVATION_TOL = 1e-9
+TRAJECTORY_STEADY_TOL = 1e-8  # max |u'| along a steady trajectory
+CLOSED_SAMPLES = 4096         # closed_biinvariant_time: scan grid on (0, horizon]
+CLOSED_TOL = 1e-8             # closed_biinvariant_time: |exp(t Lambda u0) - id|_F
 STEP_BLOCK = 256  # steps whose RK4 step maps are built at once (bounds memory)
 
 
@@ -68,8 +71,8 @@ class GeodesicTrajectory:
     def duration(self):
         return float(self.times[-1])
 
-    def is_steady(self, tol=1e-8):
-        return float(np.max(np.linalg.norm(self._slopes, axis=1))) < tol
+    def is_steady(self):
+        return float(np.max(np.linalg.norm(self._slopes, axis=1))) < TRAJECTORY_STEADY_TOL
 
     def conservation_drift(self):
         """Max relative drift of (k, l) over the grid."""
@@ -186,12 +189,14 @@ def integrate_euler_arnold(metric, u0, T, dt=None):
     """
     basis = metric.basis
     basis.require_same(u0.basis)
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    if not (np.isfinite(T) and T > 0):
+        raise ConfigError("horizon T must be a positive finite number")
     if dt is None:
         dt = default_step(T)
+    if not dt > 0:
+        raise ConfigError("step dt must be positive")
     if dt > T:
-        raise ValueError("dt must not exceed T")
+        raise ConfigError("dt must not exceed T")
     n_steps = int(round(T / dt))
     dt = T / n_steps
     mats = basis.basis_matrices
@@ -273,7 +278,7 @@ def _local_minima_below(vals, level):
     return np.flatnonzero((mid < level) & (mid <= padded[:-2]) & (mid <= padded[2:]))
 
 
-def closed_biinvariant_time(metric, u0, horizon, n_samples=4096, tol=1e-8):
+def closed_biinvariant_time(metric, u0, horizon):
     """Smallest t in (0, horizon] with exp(t Lambda u0) = id, or None.
 
     Scans the Frobenius distance of the one-parameter subgroup generated by
@@ -289,13 +294,13 @@ def closed_biinvariant_time(metric, u0, horizon, n_samples=4096, tol=1e-8):
         # || exp(t Lambda u0) - id ||_F from the eigenphases
         return float(np.sqrt(np.sum(np.abs(np.exp(-1j * w * t) - 1.0) ** 2)))
 
-    ts = np.linspace(0.0, horizon, n_samples + 1)[1:]
+    ts = np.linspace(0.0, horizon, CLOSED_SAMPLES + 1)[1:]
     vals = np.sqrt(np.sum(np.abs(np.exp(-1j * np.outer(ts, w)) - 1.0) ** 2, axis=1))
     # earliest closing time wins: walk the local minima in time order
     for i in _local_minima_below(vals, 1e-2).tolist():
         lo = ts[max(i - 1, 0)] if i > 0 else ts[i] / 2.0
         hi = ts[min(i + 1, len(ts) - 1)]
         t_min = golden_min(defect, lo, hi, 0.0, rtol=1e-14)
-        if defect(t_min) < tol:
+        if defect(t_min) < CLOSED_TOL:
             return float(t_min)
     return None

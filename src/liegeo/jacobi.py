@@ -20,19 +20,19 @@ before t.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import Ad_matrix, AlgebraElement, GroupElement, ad_matrix_raw
 from .dynamics import STEP_BLOCK, rk4_stages, rk4_step, rk4_step_maps
-from .errors import CriterionInapplicableError
+from .errors import ConfigError, CriterionInapplicableError
 from .roots import golden_min, sign_changes
 
 SIGMA_REL_THRESHOLD = 1e-6
 TIME_TOLERANCE = 1e-9
 ISOMETRY_TOL = 1e-9
+FIELD_TOL = 1e-8       # closed_geodesic_conjugacy: |y(tau)| of the explicit field
 
 
 class JacobiSolution:
@@ -92,9 +92,6 @@ class ConjugateReport:
             "tolerances": dict(self.tolerances),
         }
 
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_json_dict(), **kwargs)
-
 
 def _step_maps(traj, us, h):
     """RK4 step maps of [y; z]' = [[A, I], [0, F]] [y; z] for steps of length h.
@@ -117,7 +114,7 @@ def _grid_step(traj):
 def _checkpoint(times, t):
     """Index of the last grid node at or before t, which must lie on the grid."""
     if not times[0] <= t <= times[-1] + 1e-12 * max(1.0, times[-1]):
-        raise ValueError(f"t={t} outside the trajectory range")
+        raise ConfigError(f"t={t} outside the trajectory range")
     return int(np.searchsorted(times, t, side="right")) - 1
 
 
@@ -180,7 +177,7 @@ class _OmegaEvaluator:
         mask = traj.times <= horizon + 1e-12 * max(1.0, horizon)
         self.times = traj.times[mask]
         if len(self.times) < 3:
-            raise ValueError("horizon too short for the trajectory grid")
+            raise ConfigError("horizon too short for the trajectory grid")
         self.h = _grid_step(traj)
         self.dim = traj.basis.dim
         self.chk = _propagate(traj, _omega_start(self.dim), len(self.times))
@@ -212,7 +209,7 @@ def find_conjugate_times(
     if horizon is None:
         horizon = traj.duration()
     if horizon > traj.duration() + 1e-12:
-        raise ValueError("horizon exceeds trajectory length")
+        raise ConfigError("horizon exceeds trajectory length")
     ev = _OmegaEvaluator(traj, horizon)
     ts = ev.times
     dets = np.linalg.det(ev.y_chk)
@@ -280,10 +277,10 @@ def find_conjugate_times(
 # -- closed-geodesic criterion ------------------------------------------------------
 
 
-def right_translation_isometry_check(metric, g, tol=ISOMETRY_TOL):
+def right_translation_isometry_check(metric, g):
     """Whether right translation by g is an isometry: Ad*_g Ad_g = I."""
     m = metric.Ad_star_matrix(g) @ Ad_matrix(g)
-    return float(np.linalg.norm(m - np.eye(metric.basis.dim))) < tol
+    return float(np.linalg.norm(m - np.eye(metric.basis.dim))) < ISOMETRY_TOL
 
 
 def _state_at_time(traj, t):
@@ -312,14 +309,14 @@ class ClosedGeodesicVerdict:
     conjugate_at_or_before_tau: bool
 
 
-def closed_geodesic_conjugacy(traj, tau, field_tol=1e-8):
+def closed_geodesic_conjugacy(traj, tau):
     """Certify a conjugate point at (or before) tau on a nonsteady geodesic.
 
     Requires right translation by gamma(tau) to be an isometry; then the
     explicit field above is a nontrivial Jacobi field vanishing at 0 and tau.
     """
     if tau > traj.duration() + 1e-12:
-        raise ValueError("tau outside the trajectory range")
+        raise ConfigError("tau outside the trajectory range")
     if traj.is_steady():
         raise CriterionInapplicableError(
             "closed-geodesic criterion needs a nonsteady geodesic"
@@ -331,5 +328,5 @@ def closed_geodesic_conjugacy(traj, tau, field_tol=1e-8):
         tau=float(tau),
         isometry_ok=bool(ok),
         field_norm_at_tau=float(norm_tau),
-        conjugate_at_or_before_tau=bool(ok and norm_tau < field_tol),
+        conjugate_at_or_before_tau=bool(ok and norm_tau < FIELD_TOL),
     )

@@ -19,6 +19,7 @@ import numpy as np
 from .roots import bisect_many
 
 UNITS = ("momentum", "biinvariant", "metric")
+SVG_SIZE = 640  # emit_locus_svg: width and height in pixels
 
 
 def berger_R(delta, p_norm, q_norm):
@@ -186,22 +187,22 @@ _SVG_COLORS = [
 ]
 
 
-def emit_locus_svg(slices, path, size=640, config_hash=None):
+def emit_locus_svg(slices, path, config_hash=None):
     """Static SVG overlay: one closed path per slice, stroke-labeled by delta."""
     rmax = max(float(sl.t_star.max()) for sl in slices) * 1.08
-    half = size / 2.0
+    half = SVG_SIZE / 2.0
     scale = half / rmax
 
     def xy(x, y):
         return half + x * scale, half - y * scale
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">'
     ]
     if config_hash is not None:
         parts.append(f"<!-- config_hash: {config_hash} -->")
-    parts.append(f'<rect width="{size}" height="{size}" fill="white"/>')
+    parts.append(f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>')
     for idx, sl in enumerate(slices):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
         coords = [xy(x, y) for x, y in sl.points]

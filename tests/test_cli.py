@@ -1,14 +1,20 @@
 import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from liegeo.cli import (
     EXIT_CONFIG,
     EXIT_INAPPLICABLE,
+    EXIT_NUMERIC,
     EXIT_OK,
+    METRIC_FIELDS,
+    _parse_metric_tokens,
     build_group,
+    build_metric,
     config_hash,
     main,
     normalize_config,
@@ -63,6 +69,17 @@ def test_normalize_rejects_bad_fields():
         [1, 2],
         {"group": 5},
         {"out": 1},
+        {"tolerances": {"bogus": 1}},
+        {"tolerances": {"steady_tol": 1e-10}},
+        {"metric": {"kind": "rigid-body", "mu": [1, 2, 3], "extra": 5}},
+        {"metric": {"kind": "biinvariant", "mu": [1, 2, 3]}},
+        {"metric": {"kind": "nope"}},
+        {"metric": {}},
+        {"metric": {"kind": "cheeger"}},
+        {"metric": {"kind": "cheeger", "delta": "x"}},
+        {"metric": {"kind": "rigid-body", "mu": "123"}},
+        {"metric": {"kind": "diagonal", "lam": [1, None, 3]}},
+        {"metric": {"kind": "generic", "matrix_file": 5}},
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
@@ -79,6 +96,32 @@ def test_config_hash_stable():
     cfg = normalize_config({"group": "so3"})
     assert config_hash(cfg) == config_hash(json.loads(json.dumps(cfg)))
     assert config_hash(cfg) != config_hash(normalize_config({"group": "so4"}))
+    # metric numbers are normalized to floats, so equal runs hash equal
+    ints = normalize_config({"metric": {"kind": "rigid-body", "mu": [1, 2, 3]}})
+    assert ints == normalize_config({"metric": {"kind": "rigid-body", "mu": [1.0, 2.0, 3.0]}})
+    assert config_hash(ints) == config_hash(normalize_config({}))
+    delta = {"kind": "cheeger", "delta": -1}
+    assert normalize_config({"metric": delta})["metric"]["delta"] == -1.0
+
+
+METRIC_CASES = {
+    # kind: (flag tokens, group, variant of the built metric)
+    "rigid-body": (["rigid-body", "1,2,3"], "so3", "rigid-body"),
+    "diagonal": (["diagonal", "1,2,3"], "so3", "diagonal"),
+    "cheeger": (["cheeger", "-0.5"], "berger-sphere", "cheeger"),
+    "generic": (["generic", "{dir}/lam.json"], "so3", "generic"),
+    "biinvariant": (["biinvariant"], "so3", "diagonal"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(METRIC_FIELDS))
+def test_metric_table_kinds(tmp_path, kind):
+    (tmp_path / "lam.json").write_text(json.dumps({"matrix": np.diag([1.0, 2.0, 3.0]).tolist()}))
+    tokens, group, variant = METRIC_CASES[kind]
+    spec = _parse_metric_tokens([t.format(dir=tmp_path) for t in tokens])
+    cfg = normalize_config({"group": group, "metric": spec})
+    assert cfg["metric"]["kind"] == kind and normalize_config(cfg) == cfg
+    assert build_metric(build_group(group), cfg["metric"]).variant == variant
 
 
 def test_build_group_names():
@@ -181,6 +224,8 @@ CONFIG_FILES = {
     "metric": {"metric": "x"},
     "list": [1, 2],
     "u0": {"u0": ["a", 1, 2]},
+    "steady_tol": {"tolerances": {"steady_tol": 1e-10}},
+    "metric_field": {"metric": {"kind": "rigid-body", "mu": [1, 2, 3], "extra": 5}},
 }
 
 
@@ -188,8 +233,10 @@ CONFIG_FILES = {
     "args",
     [
         ["locus", "--angles", "4"],
+        ["locus", "--angles", "0"],
         ["geodesic", "--T", "1", "--dt", "2"],
         ["curvature", "--metric", "generic", "nofile.json"],
+        ["curvature", "--metric", "generic", "{dir}/list.json"],
         ["locus", "--config", "{dir}/unit.json"],
         ["conjugate", "--config", "{dir}/tol.json"],
         ["conjugate", "--T", "1", "--dt", "0.7"],
@@ -209,11 +256,15 @@ CONFIG_FILES = {
         ["curvature", "--config", "{dir}/list.json"],
         ["curvature", "--config", "{dir}/list.json", "--group", "so3"],
         ["geodesic", "--config", "{dir}/u0.json"],
+        ["conjugate", "--config", "{dir}/steady_tol.json"],
+        ["curvature", "--config", "{dir}/metric_field.json"],
     ],
     ids=[
         "angles",
+        "angles-zero",
         "dt-over-T",
         "missing-matrix-file",
+        "matrix-file-not-object",
         "unit",
         "time-tol",
         "one-step-grid",
@@ -233,6 +284,8 @@ CONFIG_FILES = {
         "config-list",
         "config-list-with-group",
         "config-u0",
+        "config-steady-tol",
+        "config-metric-field",
     ],
 )
 def test_bad_input_exits_with_config_error(tmp_path, args):
@@ -272,6 +325,45 @@ def test_conjugate_determinism(tmp_path):
     first = (tmp_path / "x" / "conjugate.json").read_bytes()
     main(args)
     assert (tmp_path / "x" / "conjugate.json").read_bytes() == first
+
+
+WRITING_RUNS = {
+    "curvature-cheeger": ["curvature", "--group", "su3-with-so3", "--metric", "cheeger", "-0.5"],
+    "geodesic": ["geodesic", "--u0", "0.4,0.3,0.8", "--T", "0.5"],
+    "conjugate-numeric": [
+        "conjugate", "--group", "berger-sphere", "--metric", "cheeger", "-0.5",
+        "--u0", "1;1,0", "--T", "2",
+    ],
+    "conjugate-steady-det": ["conjugate", "--u0", "e13", "--criterion", "steady-det"],
+    "steady": ["steady", "--u0", "e13", "--T", "8"],
+    "locus": ["locus", "--deltas", "-0.25,-0.5", "--angles", "16"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITING_RUNS))
+def test_writing_commands_are_deterministic(tmp_path, name):
+    out = tmp_path / "run"
+    argv = WRITING_RUNS[name] + ["--out", str(out)]
+
+    def files():
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    assert main(argv) == EXIT_OK
+    first = files()
+    assert main(argv) == EXIT_OK
+    assert files() == first
+    manifest = json.loads(first["manifest.json"])
+    assert sorted(os.path.basename(p) for p in manifest["outputs"]) == sorted(
+        set(first) - {"manifest.json"}
+    )
+    assert all(os.path.dirname(p) == str(out) for p in manifest["outputs"])
+    assert manifest["config_hash"] == config_hash(manifest["config"])
+
+
+def test_failed_command_leaves_no_output_dir(tmp_path):
+    argv = ["conjugate", "--u0", "5,4,3", "--T", "30", "--dt", "3", "--out", str(tmp_path / "d")]
+    assert main(argv) == EXIT_NUMERIC
+    assert not (tmp_path / "d").exists()
 
 
 def test_cmd_conjugate_closed_route(tmp_path):

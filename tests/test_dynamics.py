@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from liegeo import (
+    ConfigError,
     MetricConstructionError,
     MetricOperator,
     cheeger_geodesic_exact,
@@ -219,6 +220,16 @@ def test_divergence_reports_last_valid_time(so3, rigid3):
                 integrate_euler_arnold(rigid3, so3.element(u), T=T, dt=dt)
             assert str(excinfo.value) == message
             assert excinfo.value.last_valid_time == last_valid
+
+
+@pytest.mark.parametrize(
+    "T, dt",
+    [(0.0, None), (-1.0, 0.1), (float("nan"), None), (float("inf"), 0.1), (1.0, 2.0),
+     (1.0, 0.0), (1.0, -0.1), (1.0, float("nan"))],
+)
+def test_bad_horizon_or_step_is_config_error(so3, rigid3, T, dt):
+    with pytest.raises(ConfigError):
+        integrate_euler_arnold(rigid3, so3.element_by_label("e12"), T=T, dt=dt)
 
 
 def test_polar_retract_flags_singular_maps():

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from liegeo import (
+    ConfigError,
     CriterionInapplicableError,
     MetricOperator,
     berger_det,
@@ -245,8 +246,15 @@ def test_closed_geodesic_field_vanishes(su2):
     assert explicit_closed_field(traj, 0.4 * tau).norm_biinv() > 1e-2
     verdict = closed_geodesic_conjugacy(traj, tau)
     assert verdict.isometry_ok and verdict.conjugate_at_or_before_tau
-    with pytest.raises(ValueError):
-        explicit_closed_field(traj, traj.duration() + 0.5)
+    # bad times are config errors, typed and still ValueErrors
+    for bad in (
+        lambda: explicit_closed_field(traj, traj.duration() + 0.5),
+        lambda: closed_geodesic_conjugacy(traj, traj.duration() + 0.5),
+        lambda: jacobi._checkpoint(traj.times, -1e-3),
+    ):
+        with pytest.raises(ConfigError):
+            bad()
+    assert issubclass(ConfigError, ValueError)
 
 
 def test_closed_geodesic_rejects_steady(so3, rigid3):
@@ -261,3 +269,7 @@ def test_report_json_schema(su2):
     doc = rep.to_json_dict()
     assert set(doc) == {"times", "multiplicities", "method", "tolerances"}
     assert len(doc["times"]) == len(doc["multiplicities"]) == len(doc["method"])
+    # a horizon past the trajectory, or one grid step short of three nodes
+    for horizon in (traj.duration() + 0.5, 1e-3):
+        with pytest.raises(ConfigError):
+            find_conjugate_times(traj, horizon=horizon)
