@@ -717,16 +717,28 @@ def _parse_u0(text):
     return _numbers(text.split(","))
 
 
-def _fold_dashed_values(argv):
-    """Join '--flag -0.5,...' into '--flag=-0.5,...' for list-valued flags.
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
-    argparse only recognizes bare negative numbers, not comma lists that
-    start with a minus sign.
+
+def _fold_dashed_values(argv):
+    """Pass flag values that start with a minus sign to argparse as values.
+
+    argparse takes a dashed token for a value only in the forms -N and -N.N.
+    So '--flag -0.5,...' is joined into '--flag=-0.5,...' for list-valued
+    flags, and a number after '--metric KIND' in any other float form
+    (-4.96e-05, -1e-9) is written out positionally, which is the same double.
     """
     out = []
     for tok in argv:
         if out and out[-1] in ("--deltas", "--u0") and tok.startswith("-"):
             out[-1] += "=" + tok
+        elif out[-2:-1] == ["--metric"] and tok.startswith("-") and _is_number(tok):
+            out.append(np.format_float_positional(float(tok), trim="-"))
         else:
             out.append(tok)
     return out
@@ -786,7 +798,11 @@ WRITERS = {
 
 
 def main(argv=None):
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:
+        # argparse has printed its usage message (or the help, with code 0)
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         cfg = config_from_args(args)
         if args.command == "verify":

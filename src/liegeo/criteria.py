@@ -21,9 +21,9 @@ import scipy.integrate
 import scipy.linalg
 
 from .algebra import ad_matrix_raw, biinv_form, bracket
-from .errors import CriterionInapplicableError
+from .errors import ConfigError, CriterionInapplicableError
 from .jacobi import ConjugateEvent, ConjugateReport
-from .roots import bisect, golden_min, sign_changes
+from .roots import brent_min, brent_root, sign_changes
 
 STEADY_TOL = 1e-10
 SYLVESTER_RELATIVE_CUTOFF = 1e-10
@@ -217,13 +217,13 @@ def _multiplicity(matrix, scale, rel=1e-6):
 def steady_determinant_scan(crit, horizon, samples=4000):
     """Scan the criterion determinant on (0, horizon] and refine its zeros.
 
-    Sign flips are bisected; even-order touches (the determinant dips to
-    zero without flipping) are refined by golden-section on |det|.  A dip
-    that refines to a zero across which the determinant flips is a simple
-    root whose partner lies in the same bracket of equal-sign samples; the
-    partner is bisected on the side whose ends differ in sign.  Reported
-    conjugate times are the geodesic times 2*tau; the determinant parameters
-    tau themselves are kept on the report as ``taus``.
+    Sign flips are refined by Brent's root finder; even-order touches (the
+    determinant dips to zero without flipping) by Brent's minimizer on
+    |det|.  A dip that refines to a zero across which the determinant flips
+    is a simple root whose partner lies in the same bracket of equal-sign
+    samples; the partner is found on the side whose ends differ in sign.
+    Reported conjugate times are the geodesic times 2*tau; the determinant
+    parameters tau themselves are kept on the report as ``taus``.
     """
     if crit.status != "applicable":
         raise CriterionInapplicableError(f"steady criterion status: {crit.status}")
@@ -242,8 +242,8 @@ def steady_determinant_scan(crit, horizon, samples=4000):
     for i in np.flatnonzero(dips) + 1:
         local = max(abs(vals[i - 1]), abs(vals[i + 1]))
         a, b = float(taus[i - 1]), float(taus[i + 1])
-        tau = golden_min(lambda t: abs(det(t)), a, b, 1e-12)
-        if abs(det(tau)) >= 1e-9 * local:
+        tau, det_min = brent_min(lambda t: abs(det(t)), a, b, 1e-12)
+        if det_min >= 1e-9 * local:
             continue
         if any(abs(tau - e[0]) <= 2 * h_grid for e in events):
             continue
@@ -253,9 +253,9 @@ def steady_determinant_scan(crit, horizon, samples=4000):
             events.append((tau, "det-dip"))
             continue
         if (vals[i - 1] < 0) != (det_lo < 0):
-            partner = bisect(det, a, lo, vals[i - 1], 1e-12)
+            partner = brent_root(det, a, lo, float(vals[i - 1]), det_lo, 1e-12)
         else:
-            partner = bisect(det, hi, b, det_hi, 1e-12)
+            partner = brent_root(det, hi, b, det_hi, float(vals[i + 1]), 1e-12)
         events += [(tau, "det-sign-change"), (partner, "det-sign-change")]
     events.sort()
     report_events = []
@@ -349,7 +349,7 @@ def block_functions(eps, alpha, beta, lam):
 
 
 def _first_zero(fn, horizon, samples=8000):
-    """First zero of fn on (0, horizon]: an exact zero or a bisected sign change.
+    """First zero of fn on (0, horizon]: an exact zero or a refined sign change.
 
     fn is evaluated once over the whole sample grid, so it must broadcast.
     """
@@ -662,7 +662,7 @@ def index_form_value(traj, y_samples, tau):
     ts = traj.times[: i_tau + 1]
     ys = np.asarray(y_samples)[: i_tau + 1]
     if np.linalg.norm(ys[0]) > ENDPOINT_TOL or np.linalg.norm(ys[-1]) > ENDPOINT_TOL:
-        raise ValueError("test field must vanish at both endpoints")
+        raise ConfigError("test field must vanish at both endpoints")
     m = traj.metric
     basis = traj.basis
     gram = basis.biinv_gram

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ad_matrix_raw, project_h, project_h_perp
-from .errors import CriterionInapplicableError, UnsupportedSplitError
+from .errors import ConfigError, CriterionInapplicableError, UnsupportedSplitError
 
 RICCI_DIAG_TOL = 1e-10
 CARTAN_TOL = 1e-12    # cartan_condition_check: max |c| outside h
@@ -117,16 +117,16 @@ def ricci_rigid_closed_form(n, lam=None, mu=None):
     rigid-body moments mu (length n), which set l_ij = (mu_i + mu_j)/2.
     """
     if (lam is None) == (mu is None):
-        raise ValueError("pass exactly one of lam or mu")
+        raise ConfigError("pass exactly one of lam or mu")
     if mu is not None:
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (n,) or np.any(mu <= 0):
-            raise ValueError("mu must be n positive moments")
+            raise ConfigError("mu must be n positive moments")
         lam_of = lambda i, j: 0.5 * (mu[i] + mu[j])
     else:
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (n * (n - 1) // 2,) or np.any(lam <= 0):
-            raise ValueError("lam must be n(n-1)/2 positive values")
+            raise ConfigError("lam must be n(n-1)/2 positive values")
         index = {}
         k = 0
         for i in range(n):
@@ -217,7 +217,7 @@ def beta_constants(basis):
             vals.append(-np.trace(sub @ sub))
         vals = np.array(vals)
         if np.ptp(vals) > KILLING_TOL * max(1.0, np.abs(vals).max()):
-            raise ValueError(
+            raise ConfigError(
                 f"inconsistent Killing constant across basis vectors: {vals}"
             )
         return float(vals.mean())

@@ -12,7 +12,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, GroupElement, expm_skew
 from .errors import ConfigError, IntegrationDivergedError, MetricConstructionError
-from .roots import golden_min
+from .roots import brent_min
 
 CONSERVATION_TOL = 1e-9
 TRAJECTORY_STEADY_TOL = 1e-8  # max |u'| along a steady trajectory
@@ -86,7 +86,7 @@ class GeodesicTrajectory:
     def index_of_time(self, t, tol=1e-9):
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[i] - t) > tol + 1e-12 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not on the sample grid")
+            raise ConfigError(f"t={t} is not on the sample grid")
         return i
 
     def export_csv(self, path, config_hash=None):
@@ -282,7 +282,7 @@ def closed_biinvariant_time(metric, u0, horizon):
     """Smallest t in (0, horizon] with exp(t Lambda u0) = id, or None.
 
     Scans the Frobenius distance of the one-parameter subgroup generated by
-    Lambda u0 from the identity and refines local minima by golden-section.
+    Lambda u0 from the identity and refines local minima by Brent's minimizer.
     """
     if metric.variant != "cheeger":
         raise MetricConstructionError("closed-time scan is defined for Cheeger metrics")
@@ -300,7 +300,7 @@ def closed_biinvariant_time(metric, u0, horizon):
     for i in _local_minima_below(vals, 1e-2).tolist():
         lo = ts[max(i - 1, 0)] if i > 0 else ts[i] / 2.0
         hi = ts[min(i + 1, len(ts) - 1)]
-        t_min = golden_min(defect, lo, hi, 0.0, rtol=1e-14)
-        if defect(t_min) < CLOSED_TOL:
+        t_min, defect_min = brent_min(defect, lo, hi, 1e-14 * max(1.0, hi))
+        if defect_min < CLOSED_TOL:
             return float(t_min)
     return None

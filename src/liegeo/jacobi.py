@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import Ad_matrix, AlgebraElement, GroupElement, ad_matrix_raw
 from .dynamics import STEP_BLOCK, rk4_stages, rk4_step, rk4_step_maps
 from .errors import ConfigError, CriterionInapplicableError
-from .roots import golden_min, sign_changes
+from .roots import brent_min, sign_changes
 
 SIGMA_REL_THRESHOLD = 1e-6
 TIME_TOLERANCE = 1e-9
@@ -201,10 +201,10 @@ def find_conjugate_times(
 ):
     """Detect conjugate times through det sign changes and sigma_min dips.
 
-    Determinant sign flips are refined by bisection; even-multiplicity
-    touches (no sign flip) are caught as local minima of sigma_min below the
-    relative threshold and refined by golden-section search when a
-    three-point quadratic fit of sigma_min^2 opens upward.
+    Determinant sign flips are refined by Brent's root finder;
+    even-multiplicity touches (no sign flip) are caught as local minima of
+    sigma_min below the relative threshold and refined by Brent's minimizer
+    when a three-point quadratic fit of sigma_min^2 opens upward.
     """
     if horizon is None:
         horizon = traj.duration()
@@ -260,7 +260,7 @@ def find_conjugate_times(
         f0, f1, f2 = sig_min[i - 1] ** 2, sig_min[i] ** 2, sig_min[i + 1] ** 2
         denom = (t0 - t1) * (t0 - t2) * (t1 - t2)
         a = (t2 * (f1 - f0) + t1 * (f0 - f2) + t0 * (f2 - f1)) / denom
-        t_star = golden_min(sigma_at, t0, t2, time_tol) if a > 0 else t1
+        t_star = brent_min(sigma_at, t0, t2, time_tol)[0] if a > 0 else t1
         add_event(float(t_star), "sigma-min-dip")
 
     events.sort(key=lambda e: e.time)

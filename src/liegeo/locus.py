@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .roots import bisect_many
 
 UNITS = ("momentum", "biinvariant", "metric")
@@ -33,7 +34,7 @@ def berger_S(delta, p_norm, q_norm):
 def berger_det(t, delta, p_norm, q_norm):
     """Closed-form conjugate determinant of the Berger sphere."""
     if delta <= -1.0:
-        raise ValueError("delta must exceed -1")
+        raise ConfigError("delta must exceed -1")
     r = berger_R(delta, p_norm, q_norm)
     s = berger_S(delta, p_norm, q_norm)
     t = np.asarray(t, dtype=float)
@@ -99,9 +100,9 @@ def berger_first_conjugate_time(delta, p_norm, q_norm):
     labeled separately.
     """
     if delta <= -1.0:
-        raise ValueError("delta must exceed -1")
+        raise ConfigError("delta must exceed -1")
     if p_norm == 0.0 and q_norm == 0.0:
-        raise ValueError("direction must be nonzero")
+        raise ConfigError("direction must be nonzero")
     t, code = _first_times(delta, np.array([p_norm], dtype=float), np.array([q_norm], dtype=float))
     return BergerFirstConjugate(float(t[0]), _BRANCHES[code[0]])
 
@@ -140,11 +141,11 @@ def generate_locus_slice(delta, n_angles=720, unit="momentum"):
     * ``unit='metric'``: unit metric velocity g(u0,u0) = 1.
     """
     if n_angles < 8:
-        raise ValueError("n_angles must be at least 8")
+        raise ConfigError("n_angles must be at least 8")
     if unit not in UNITS:
-        raise ValueError(f"unit must be one of {UNITS}")
+        raise ConfigError(f"unit must be one of {UNITS}")
     if delta <= -1.0:
-        raise ValueError("delta must exceed -1")
+        raise ConfigError("delta must exceed -1")
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     p, q = np.abs(np.cos(theta)), np.abs(np.sin(theta))
     p[p < 1e-12] = 0.0
@@ -227,4 +228,4 @@ def emit_locus(slices, path, fmt):
     elif fmt == "svg":
         emit_locus_svg(slices, path)
     else:
-        raise ValueError(f"unknown locus format {fmt!r}")
+        raise ConfigError(f"unknown locus format {fmt!r}")

@@ -1,19 +1,22 @@
 """Bracketed root and minimum refinement shared by every conjugate-time route.
 
-Textbook bisection and golden-section search (Brent, *Algorithms for
-Minimization without Derivatives*, 1973), plus the sampled sign-change walk
-that feeds bisection.  Both loops stop after MAX_ITER iterations, so a zero
-tolerance still terminates.  ``bisect_many`` runs ``bisect``'s rule on an
-array of brackets at once; scalar callers keep ``bisect``, which is cheaper
-per call.
+Brent's zero and localmin (Brent, *Algorithms for Minimization without
+Derivatives*, 1973) refine scalar roots and minima superlinearly; the sampled
+sign-change walk feeds the root finder.  Textbook bisection stays for the
+Berger locus: ``bisect_many`` runs ``bisect``'s rule on an array of brackets
+at once.  Every loop stops after MAX_ITER iterations, so a zero tolerance
+still terminates.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MAX_ITER = 200
-INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+EPS = float(np.finfo(float).eps)
+GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def bisect(f, a, b, fa, xtol):
@@ -70,33 +73,113 @@ def bisect_many(f, a, b, fa, xtol):
     return out
 
 
-def golden_min(f, a, b, xtol, rtol=0.0):
-    """Minimizer of a unimodal f on [a, b] by golden-section search.
+def brent_root(f, a, b, fa, fb, xtol):
+    """Root of f in [a, b] by Brent's zeroin, where fa = f(a) and fb = f(b) differ in sign.
 
-    Stops once the bracket is no longer than max(xtol, rtol * max(1, b)).
+    The end values are taken as given and f is never evaluated at a or b.
+    Each step is inverse quadratic or linear interpolation when it stays
+    inside the bracket and shrinks it fast enough, bisection otherwise.  The
+    returned point lies in a final sign-change bracket no longer than
+    xtol + 4*eps*|root|; an exact zero is returned at once.
     """
-    c, d = b - INVPHI * (b - a), a + INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(MAX_ITER):
-        if b - a <= max(xtol, rtol * max(1.0, b)):
+        if (fb > 0) == (fc > 0):
+            # keep the root between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * EPS * abs(b) + 0.5 * xtol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - INVPHI * (b - a)
-            fc = f(c)
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            a, c, fc = c, d, fd
-            d = a + INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    return b
+
+
+def brent_min(f, a, b, xtol):
+    """Minimum of f on [a, b] by Brent's localmin; returns (x, f(x)).
+
+    Golden-section steps, replaced by parabolic ones through the three best
+    points when those stay inside the bracket and shrink fast enough.  The
+    tolerance is absolute, tol = 2*eps*|x| + xtol/3: the search stops once
+    every point of the remaining bracket lies within 2*tol of x.
+    """
+    x = w = v = a + GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    for _ in range(MAX_ITER):
+        xm = 0.5 * (a + b)
+        tol = 2.0 * EPS * abs(x) + xtol / 3.0
+        if abs(x - xm) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                parabolic = True
+                # f is not evaluated within 2*tol of the bracket ends
+                if (x + d) - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = math.copysign(tol, xm - x)
+        if not parabolic:
+            e = (a if x >= xm else b) - x
+            d = GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+            continue
+        if u < x:
+            a = u
+        else:
+            b = u
+        if fu <= fw or w == x:
+            v, fv, w, fw = w, fw, u, fu
+        elif fu <= fv or v == x or v == w:
+            v, fv = u, fu
+    return x, fx
 
 
 def sign_changes(f, ts, vals, xtol):
     """Roots of f along the samples vals = f(ts), in order, found lazily.
 
     A sample that is exactly zero is a root; a sign flip on [t_i, t_{i+1}]
-    is bisected to xtol.  Bisection runs only when the next root is asked
-    for, so a caller that needs the first root does no further work.
+    is refined to xtol by ``brent_root`` from the sampled end values.  Each
+    root is refined only when it is asked for, so a caller that needs the
+    first root does no further work.
     """
     vals = np.asarray(vals, dtype=float)
     head, tail = vals[:-1], vals[1:]
@@ -104,4 +187,6 @@ def sign_changes(f, ts, vals, xtol):
         if vals[i] == 0.0:
             yield float(ts[i])
         else:
-            yield bisect(f, float(ts[i]), float(ts[i + 1]), vals[i], xtol)
+            yield brent_root(
+                f, float(ts[i]), float(ts[i + 1]), float(vals[i]), float(vals[i + 1]), xtol
+            )

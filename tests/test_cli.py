@@ -414,3 +414,42 @@ def test_cli_subprocess_entry(tmp_path, child_env):
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "g" / "trajectory.csv").exists()
     assert (tmp_path / "g" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (
+            ["curvature", "--group", "su3-with-so3", "--metric", "cheeger", "-4.96e-05"],
+            {"group": "su3-with-so3", "metric": {"kind": "cheeger", "delta": -4.96e-05}},
+        ),
+        (
+            ["curvature", "--group", "su3-with-so3", "--metric", "cheeger", "-1e-9"],
+            {"group": "su3-with-so3", "metric": {"kind": "cheeger", "delta": -1e-9}},
+        ),
+        (
+            ["locus", "--deltas", "-1e-5,-0.5", "--angles", "16"],
+            {"deltas": [-1e-5, -0.5], "angles": 16},
+        ),
+    ],
+    ids=["delta-exponent", "delta-tiny", "deltas-exponent"],
+)
+def test_dashed_exponent_numbers_match_config_file(tmp_path, flags, config):
+    out = tmp_path / "run"
+
+    def files():
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    assert main(flags + ["--out", str(out)]) == EXIT_OK
+    from_flags = files()
+    for p in out.iterdir():
+        p.unlink()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([flags[0], "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    assert files() == from_flags
+
+
+def test_usage_error_returns_config_exit_code(capsys):
+    assert main(["curvature", "--bogus"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 
 from liegeo import (
     CriterionInapplicableError,
+    LieGeoError,
     MetricOperator,
     cheeger_index_test_field,
     cheeger_nonsteady_condition,
@@ -24,12 +25,13 @@ from liegeo.criteria import (
     GRID_BLOCK,
     _first_zero,
     _generalized_trig,
+    _multiplicity,
     _steady_criterion_matrix,
     block_functions,
     steady_determinant_grid,
     steady_determinant_value,
 )
-from liegeo.roots import sign_changes
+from liegeo.roots import bisect, sign_changes
 
 
 def test_steady_operators_so3(so3, rigid3):
@@ -117,6 +119,77 @@ def test_determinant_grid_matches_expm_loop(count):
         # a determinant's rounding scale is the n-th power of its matrix norm
         scale = np.linalg.norm(mats, 2, axis=(1, 2)) ** mats.shape[1]
         assert np.all(np.abs(grid - loop) <= 1e-11 * scale), (m.basis.name, label)
+
+
+def _golden_min(f, a, b, xtol):
+    """Golden-section search to a bracket no longer than xtol."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _reference_det_scan(crit, horizon, samples):
+    """(taus, multiplicities) of the steady det scan by bisection and golden section."""
+    taus = np.linspace(0.0, horizon, samples + 1)[1:]
+    h = float(taus[1] - taus[0])
+    vals = steady_determinant_grid(crit, horizon / samples, samples)
+
+    def det(t):
+        return steady_determinant_value(crit, t)
+
+    events = []
+    for i in range(samples - 1):
+        if vals[i] == 0.0:
+            events.append(float(taus[i]))
+        elif (vals[i] < 0) != (vals[i + 1] < 0):
+            events.append(bisect(det, float(taus[i]), float(taus[i + 1]), vals[i], 1e-12))
+    mag = np.abs(vals)
+    for i in range(1, samples - 1):
+        if not (mag[i] <= mag[i - 1] and mag[i] <= mag[i + 1] and max(mag[i - 1], mag[i + 1]) > 0):
+            continue
+        a, b = float(taus[i - 1]), float(taus[i + 1])
+        tau = _golden_min(lambda t: abs(det(t)), a, b, 1e-12)
+        if abs(det(tau)) >= 1e-9 * max(mag[i - 1], mag[i + 1]):
+            continue
+        if any(abs(tau - e) <= 2 * h for e in events):
+            continue
+        lo, hi = tau - 1e-6 * h, tau + 1e-6 * h
+        if (det(lo) < 0) == (det(hi) < 0):
+            events.append(tau)
+        elif (vals[i - 1] < 0) != (det(lo) < 0):
+            events += [tau, bisect(det, a, lo, vals[i - 1], 1e-12)]
+        else:
+            events += [tau, bisect(det, hi, b, det(hi), 1e-12)]
+    events.sort()
+    mults = []
+    for tau in events:
+        scale = max(
+            np.linalg.norm(_steady_criterion_matrix(crit, tau + h), 2),
+            np.linalg.norm(_steady_criterion_matrix(crit, max(tau - h, 0.0)), 2),
+        )
+        mults.append(_multiplicity(_steady_criterion_matrix(crit, tau), scale))
+    return events, mults
+
+
+def test_det_scan_matches_bisection_reference():
+    horizon, samples = 6.0, 1200
+    for m, label, _ in _grid_bodies():
+        crit = steady_operators(m, m.basis.element_by_label(label))
+        scan = steady_determinant_scan(crit, horizon, samples)
+        want_taus, want_mults = _reference_det_scan(crit, horizon, samples)
+        assert want_taus, (m.basis.name, label)
+        assert np.abs(np.array(scan.taus) - want_taus).max() <= 1e-12, (m.basis.name, label)
+        assert [e.multiplicity for e in scan.events] == want_mults
 
 
 @pytest.mark.parametrize(
@@ -292,8 +365,9 @@ def test_index_form_zero_field(so3, rigid3):
 def test_index_form_endpoint_check(so3, rigid3):
     traj = integrate_euler_arnold(rigid3, so3.element([1.0, 0.0, 1.0]), T=2.0, dt=1e-3)
     ys = np.ones((len(traj.times), 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         index_form_value(traj, ys, traj.duration())
+    assert isinstance(excinfo.value, LieGeoError)
 
 
 def test_index_form_misiolek_field_negative(so3, rigid3):

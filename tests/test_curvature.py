@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from liegeo import (
     CriterionInapplicableError,
+    LieGeoError,
     MetricOperator,
     StructuredBasis,
     UnsupportedSplitError,
@@ -344,3 +345,24 @@ def test_misiolek_rejects_nonsteady(so3, rigid3):
     u0 = so3.element([1.0, 0.0, 1.0])
     with pytest.raises(CriterionInapplicableError):
         misiolek_value(rigid3, u0, so3.element([0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"mu": [1.0, 2.0]}, {"lam": [1.0, -2.0, 3.0]}],
+    ids=["neither", "mu-length", "lam-sign"],
+)
+def test_ricci_closed_form_input_errors_are_typed(kwargs):
+    with pytest.raises(ValueError) as excinfo:
+        ricci_rigid_closed_form(3, **kwargs)
+    assert isinstance(excinfo.value, LieGeoError)
+
+
+def test_beta_constants_non_simple_algebra_is_typed(so3):
+    # so(3) + R: the abelian direction has Killing constant 0, the rest 2
+    c = np.zeros((4, 4, 4))
+    c[:3, :3, :3] = so3.structure_constants
+    fake = type("Basis", (), {"structure_constants": c, "dim": 4, "subalgebra_dim": 0})
+    with pytest.raises(ValueError) as excinfo:
+        beta_constants(fake)
+    assert isinstance(excinfo.value, LieGeoError)

@@ -3,6 +3,7 @@ import pytest
 
 from liegeo import (
     ConfigError,
+    LieGeoError,
     MetricConstructionError,
     MetricOperator,
     cheeger_geodesic_exact,
@@ -259,3 +260,11 @@ def test_csv_export(tmp_path, su2):
     row = lines[3].split(",")
     assert float(row[0]) == traj.times[1]
     assert float(row[1]) == traj.velocities[1][0]
+
+
+def test_index_of_time_off_grid_is_typed(so3, rigid3):
+    traj = integrate_euler_arnold(rigid3, so3.element_by_label("e12"), T=0.1, dt=1e-2)
+    assert traj.index_of_time(0.05) == 5
+    with pytest.raises(ValueError) as excinfo:
+        traj.index_of_time(0.055)
+    assert isinstance(excinfo.value, LieGeoError)

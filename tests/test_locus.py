@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from liegeo import berger_det, berger_first_conjugate_time, emit_locus, generate_locus_slice
+from liegeo import (
+    LieGeoError,
+    berger_det,
+    berger_first_conjugate_time,
+    emit_locus,
+    generate_locus_slice,
+)
 from liegeo.locus import emit_locus_csv, emit_locus_svg
 from liegeo.roots import bisect
 
@@ -136,13 +142,32 @@ def test_emit_files(tmp_path):
     assert x == pytest.approx(ts * np.cos(th)) and y == pytest.approx(ts * np.sin(th))
     svg = svg_path.read_text()
     assert svg.count("<path") == 2 and "config_hash: cafe" in svg
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         emit_locus(slices, tmp_path / "locus.bogus", "bogus")
+    assert isinstance(excinfo.value, LieGeoError)
 
 
 def test_minimum_angles():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         generate_locus_slice(0.0, n_angles=4)
+    assert isinstance(excinfo.value, LieGeoError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: berger_det(1.0, -1.0, 1.0, 0.0),
+        lambda: berger_first_conjugate_time(-1.5, 1.0, 0.0),
+        lambda: berger_first_conjugate_time(0.0, 0.0, 0.0),
+        lambda: generate_locus_slice(-1.0),
+        lambda: generate_locus_slice(0.0, unit="furlong"),
+    ],
+    ids=["det-delta", "first-time-delta", "first-time-zero-direction", "slice-delta", "slice-unit"],
+)
+def test_bad_locus_input_is_typed(call):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert isinstance(excinfo.value, LieGeoError)
 
 
 def _scalar_first_time(delta, p, q):
