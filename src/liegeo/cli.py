@@ -479,6 +479,7 @@ def _verify_checks(seed=0):
         res = basis.identity_residuals()
         yield f"jacobi-identity {basis.name}", res["jacobi-identity"], ALGEBRA_TOL
         yield f"ad-invariance {basis.name}", res["ad-invariance"], ALGEBRA_TOL
+        yield f"orthonormality {basis.name}", res["orthonormality"], ALGEBRA_TOL
         worst = 0.0
         for _ in range(100):
             x = basis.element(rng.standard_normal(basis.dim))
@@ -489,6 +490,8 @@ def _verify_checks(seed=0):
                 float(np.abs(bracket(x, y).matrix() - comm).max()),
             )
         yield f"bracket-vs-commutator {basis.name}", worst, 1e-10
+    # su(4): a Gram that misses I by rounding, one entry 1.1e-16 off
+    yield "orthonormality su(4)", build_su_basis(4).identity_residuals()["orthonormality"], ALGEBRA_TOL
 
     # subalgebra split closure
     res = su3.identity_residuals()

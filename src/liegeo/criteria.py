@@ -61,17 +61,17 @@ class SteadyCriterion:
 
 def _g_orthonormal_complement(metric, u0):
     """Columns: a g-orthonormal basis of the g-orthogonal complement of u0."""
-    gram = metric.metric_gram()
+    lam = metric.matrix
     dim = metric.basis.dim
-    e0 = u0 / np.sqrt(u0 @ gram @ u0)
+    e0 = u0 / np.sqrt(u0 @ lam @ u0)
     cols = []
     for i in range(dim):
         v = np.zeros(dim)
         v[i] = 1.0
-        v = v - (e0 @ gram @ v) * e0
+        v = v - (e0 @ lam @ v) * e0
         for q in cols:
-            v = v - (q @ gram @ v) * q
-        nrm = np.sqrt(max(v @ gram @ v, 0.0))
+            v = v - (q @ lam @ v) * q
+        nrm = np.sqrt(max(v @ lam @ v, 0.0))
         if nrm > 1e-8:
             cols.append(v / nrm)
     if len(cols) != dim - 1:
@@ -108,9 +108,9 @@ def steady_operators(m, u0):
     frame = _g_orthonormal_complement(m, u)
     l_full = ad_matrix_raw(basis, u)
     f_full = m.ad_star_matrix_of(u) + m.coad_force_matrix(u)
-    gram = m.metric_gram()
-    lc = frame.T @ gram @ l_full @ frame
-    fc = frame.T @ gram @ f_full @ frame
+    lam = m.matrix
+    lc = frame.T @ lam @ l_full @ frame
+    fc = frame.T @ lam @ f_full @ frame
     diagnostics = {}
 
     r, cond = _solve_sylvester(lc, fc)
@@ -530,7 +530,6 @@ def nonsteady_frame(traj):
         raise CriterionInapplicableError("nonsteady frame needs a nonsteady geodesic")
     m = traj.metric
     basis = traj.basis
-    gram = basis.biinv_gram
     n = len(traj.times)
     dim = basis.dim
     v1 = np.empty((n, dim))
@@ -563,9 +562,7 @@ def nonsteady_frame(traj):
                 "degenerate v2: Lambda u parallel to u along the orbit"
             )
         lw = m.apply_raw(wf[i])
-        phi[i] = k_const**2 * float(lw @ gram @ lu) ** 2 / gv2 - float(
-            wf[i] @ gram @ xf[i]
-        )
+        phi[i] = k_const**2 * float(lw @ lu) ** 2 / gv2 - float(wf[i] @ xf[i])
         worst = max(
             worst,
             abs(m.inner_raw(v1[i], v2[i])),
@@ -665,7 +662,6 @@ def index_form_value(traj, y_samples, tau):
         raise ConfigError("test field must vanish at both endpoints")
     m = traj.metric
     basis = traj.basis
-    gram = basis.biinv_gram
     vals = np.empty(len(ts))
     for i in range(len(ts)):
         if i == 0:
@@ -679,7 +675,7 @@ def index_form_value(traj, y_samples, tau):
         z = dy + adu @ ys[i]
         lu = m.apply_raw(u)
         integrand = m.apply_raw(z) + ad_matrix_raw(basis, ys[i]) @ lu
-        vals[i] = float(integrand @ gram @ z)
+        vals[i] = float(integrand @ z)
     return float(scipy.integrate.simpson(vals, x=ts))
 
 
@@ -692,13 +688,12 @@ def cheeger_index_test_field(traj, frame, tau):
     i_tau = traj.index_of_time(tau, tol=1e-6)
     ts = traj.times[: i_tau + 1]
     m = traj.metric
-    gram = traj.basis.biinv_gram
     k_const = float(traj.conserved[0, 0])
     xi = np.empty(len(ts))
     for i in range(len(ts)):
         lw = m.apply_raw(frame.w[i])
         lu = m.apply_raw(traj.velocities[i])
-        xi[i] = k_const * float(lw @ gram @ lu) / m.inner_raw(frame.v2[i], frame.v2[i])
+        xi[i] = k_const * float(lw @ lu) / m.inner_raw(frame.v2[i], frame.v2[i])
     s1 = np.sin(np.pi * ts / tau)
     s2 = np.sin(2 * np.pi * ts / tau)
     cum1 = scipy.integrate.cumulative_trapezoid(xi * s1, ts, initial=0.0)

@@ -57,10 +57,8 @@ def sectional_numerator_arnold(m, u, v):
 
 def _g_orthonormal_frame(m):
     """Columns of a g-orthonormal frame in basis coordinates."""
-    gram = m.metric_gram()
     # Cholesky-based Gram-Schmidt of the coordinate basis
-    chol = np.linalg.cholesky(gram)
-    return np.linalg.inv(chol).T
+    return np.linalg.inv(np.linalg.cholesky(m.matrix)).T
 
 
 def ricci_numeric(m, u):
@@ -85,8 +83,8 @@ def ricci_matrix(m):
     """Ric(b_i, b_j) in closed form: the sectional sum of ricci_numeric,
     sum_k g(R(e_k,v)v, e_k) over a g-orthonormal frame, as one quadratic form.
 
-    With A_k = ad_{e_k}, S_k = ad*_{e_k}, W_k = S_k + ad*_(.) e_k + A_k and G
-    the metric Gram, Ric = sum_k 1/4 W_k^T G W_k - (S_k + A_k)^T G A_k.  The
+    With A_k = ad_{e_k}, S_k = ad*_{e_k}, W_k = S_k + ad*_(.) e_k + A_k and the
+    metric Gram Lambda, Ric = sum_k 1/4 W_k^T Lambda W_k - (S_k + A_k)^T Lambda A_k.  The
     sectional term g(ad*_u u, ad*_v v) sums to zero over the frame, since ad
     is traceless on a unimodular group.  Milnor's formula (Besse 7.38) is not
     used: on a Cheeger metric two of its terms grow like 1/(1+delta) and
@@ -94,13 +92,13 @@ def ricci_matrix(m):
     """
     basis = m.basis
     frame = _g_orthonormal_frame(m).T
-    gram = m.metric_gram()
+    lam = m.matrix
     ad_e = ad_matrix_raw(basis, frame)
     ad_star_e = m.ad_star_matrix_of(frame)
     w = ad_star_e + m.coad_force_matrix(frame) + ad_e
     ric = (
-        0.25 * np.einsum("kia,ij,kjb->ab", w, gram, w, optimize=True)
-        - np.einsum("kia,ij,kjb->ab", ad_star_e + ad_e, gram, ad_e, optimize=True)
+        0.25 * np.einsum("kia,ij,kjb->ab", w, lam, w, optimize=True)
+        - np.einsum("kia,ij,kjb->ab", ad_star_e + ad_e, lam, ad_e, optimize=True)
     )
     ric = 0.5 * (ric + ric.T)
     off = ric - np.diag(np.diag(ric))
@@ -239,7 +237,7 @@ def block_einstein_constants(beta_g, beta_h, delta):
 def block_einstein_report(m, ric=None):
     """Compare the numeric Ricci with the block constants; JSON-able dict.
 
-    The blocks are measured against the bi-invariant Gram: Ric(v,v) =
+    The blocks are measured in the bi-invariant form: Ric(v,v) =
     C1 |P v|^2 + C2 |Q v|^2.  Pass the RicciResult of m as ``ric`` when it
     is already at hand; otherwise it is computed here.
     """

@@ -239,11 +239,10 @@ def integrate_euler_arnold(metric, u0, T, dt=None):
             np.matmul(frames[j], polar[j - b], out=frames[j + 1])
         frames[e] = _polar_retract(frames[e])[0]
 
-    # (1, dim) @ (dim, 1) per sample: the same bits as each u @ gram @ Lambda u
-    gram = basis.biinv_gram
+    # (1, dim) @ (dim, 1) per sample: the same bits as each u @ Lambda u
     lu = metric.apply_raw(velocities)
     conserved = np.concatenate(
-        [(v @ gram)[:, None, :] @ lu[:, :, None] for v in (velocities, lu)], axis=1
+        [v[:, None, :] @ lu[:, :, None] for v in (velocities, lu)], axis=1
     )[..., 0]
     return GeodesicTrajectory(metric, times, velocities, frames, conserved, stages)
 

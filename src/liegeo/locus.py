@@ -24,11 +24,12 @@ SVG_SIZE = 640  # emit_locus_svg: width and height in pixels
 
 
 def berger_R(delta, p_norm, q_norm):
-    return float(np.sqrt((1.0 + delta) ** 2 * p_norm**2 + q_norm**2))
+    a = 1.0 + delta
+    return float(np.sqrt(a * a * (p_norm * p_norm) + q_norm * q_norm))
 
 
 def berger_S(delta, p_norm, q_norm):
-    return float((1.0 + delta) * p_norm**2 + q_norm**2)
+    return float((1.0 + delta) * (p_norm * p_norm) + q_norm * q_norm)
 
 
 def berger_det(t, delta, p_norm, q_norm):
@@ -39,7 +40,7 @@ def berger_det(t, delta, p_norm, q_norm):
     s = berger_S(delta, p_norm, q_norm)
     t = np.asarray(t, dtype=float)
     out = np.sin(r * t) * (
-        -delta * q_norm**2 * r * t * np.cos(r * t) + (1.0 + delta) * s * np.sin(r * t)
+        -delta * (q_norm * q_norm) * r * t * np.cos(r * t) + (1.0 + delta) * s * np.sin(r * t)
     )
     return float(out) if out.ndim == 0 else out
 
@@ -53,30 +54,25 @@ class BergerFirstConjugate:
 _BRANCHES = ("steady-axis", "sin-root", "tan-root")
 
 
-def _sq(x):
-    # libm pow, the rounding of a scalar x**2; an array x**2 is x * x, which
-    # differs from it in the last bit for some x and would change the locus
-    return np.float_power(x, 2)
-
-
 def _first_times(delta, p, q):
     """First positive zeros of the Berger determinant for arrays of |p0|, |q0|.
 
     Returns the times and an index into _BRANCHES per element.  No element
     may have p = q = 0.
     """
-    r = np.sqrt((1.0 + delta) ** 2 * _sq(p) + _sq(q))
+    a = 1.0 + delta
+    r = np.sqrt(a * a * (p * p) + q * q)
     steady = q == 0.0
     code = np.where(steady, 0, 1 if delta >= 0.0 else 2)
     t = np.empty_like(r)
-    t[steady] = np.pi / ((1.0 + delta) * p[steady])
+    t[steady] = np.pi / (a * p[steady])
     rest = ~steady
     r = r[rest]
     if delta >= 0.0:
         t[rest] = np.pi / r
         return t, code
     p, q = p[rest], q[rest]
-    target = delta * _sq(q) / ((1.0 + delta) * ((1.0 + delta) * _sq(p) + _sq(q)))
+    target = delta * (q * q) / (a * (a * (p * p) + q * q))
 
     def fn(x):
         return np.tan(r * x) / (r * x) - target
@@ -151,7 +147,7 @@ def generate_locus_slice(delta, n_angles=720, unit="momentum"):
     p[p < 1e-12] = 0.0
     q[q < 1e-12] = 0.0
     if unit == "metric":
-        speed = np.sqrt((1.0 + delta) * _sq(p) + _sq(q))
+        speed = np.sqrt((1.0 + delta) * (p * p) + q * q)
         p, q = p / speed, q / speed
     elif unit == "momentum":
         p = p / (1.0 + delta)

@@ -18,7 +18,9 @@ class MetricOperator:
     * :meth:`rigid_body` -- diagonal on so(n) with lambda_ij = (mu_i + mu_j)/2,
     * :meth:`diagonal` -- arbitrary positive diagonal in the basis,
     * :meth:`cheeger` -- Lambda = I + delta P along a subalgebra split,
-    * :meth:`generic` -- any SPD matrix w.r.t. the bi-invariant Gram.
+    * :meth:`generic` -- any symmetric positive-definite matrix.
+
+    Coordinates are orthonormal for the bi-invariant form: Lambda is the Gram of g.
 
     Diagonal variants keep their eigenvalue vector for closed-form work; the
     dense matrix is materialized on demand for determinant/Sylvester work.
@@ -80,15 +82,14 @@ class MetricOperator:
 
     @classmethod
     def generic(cls, basis, matrix):
+        """Dense Lambda, symmetric to SYMMETRY_TOL (stored symmetrized) and positive-definite."""
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (basis.dim, basis.dim):
             raise MetricConstructionError("Lambda matrix has wrong shape")
-        # symmetry w.r.t. the bi-invariant form: G Lambda must be symmetric
-        gl = basis.biinv_gram @ matrix
-        if np.abs(gl - gl.T).max() > SYMMETRY_TOL * max(1.0, np.abs(gl).max()):
-            raise MetricConstructionError("Lambda is not symmetric w.r.t. the form")
-        matrix = np.linalg.solve(basis.biinv_gram, (gl + gl.T) / 2.0)
-        if np.any(np.linalg.eigvalsh((gl + gl.T) / 2.0) <= 0):
+        if np.abs(matrix - matrix.T).max() > SYMMETRY_TOL * max(1.0, np.abs(matrix).max()):
+            raise MetricConstructionError("Lambda is not symmetric")
+        matrix = (matrix + matrix.T) / 2.0
+        if np.any(np.linalg.eigvalsh(matrix) <= 0):
             raise MetricConstructionError("Lambda must be positive-definite")
         return cls(basis, "generic", dense=matrix)
 
@@ -118,11 +119,7 @@ class MetricOperator:
         return np.linalg.solve(self._matrix, coords[..., None])[..., 0]
 
     def inner_raw(self, a, b):
-        return float(a @ self.basis.biinv_gram @ self.apply_raw(b))
-
-    def metric_gram(self):
-        """Gram matrix of g in basis coordinates."""
-        return self.basis.biinv_gram @ self.matrix
+        return float(a @ self.apply_raw(b))
 
     # -- spec operations --------------------------------------------------------
 
@@ -167,8 +164,8 @@ class MetricOperator:
     def Ad_star_matrix(self, g):
         """Matrix of Ad*_g, the metric adjoint of Ad_g, on coordinates."""
         self.basis.require_same(g.basis)
-        gram = self.metric_gram()
-        return np.linalg.solve(gram, Ad_matrix(g).T @ gram)
+        lam = self.matrix
+        return np.linalg.solve(lam, Ad_matrix(g).T @ lam)
 
     def is_steady(self, u0, tol=1e-10):
         """Whether ad*_{u0} u0 vanishes, i.e. u0 generates a one-parameter subgroup."""

@@ -4,6 +4,7 @@ import pytest
 from liegeo import (
     Ad_matrix,
     InvalidDimensionError,
+    LieGeoError,
     StructuredBasis,
     UnsupportedSplitError,
     biinv_form,
@@ -15,15 +16,16 @@ from liegeo import (
     project_h,
     project_h_perp,
 )
-from liegeo.algebra import ad_matrix, ad_matrix_raw, expm_skew, matrix_form
+from liegeo import algebra
+from liegeo.algebra import ALGEBRA_TOL, ad_matrix, ad_matrix_raw, expm_skew, matrix_form
 
 
 def test_so_basis_shape(so3, so4):
     assert so3.dim == 3 and so4.dim == 6
     assert so3.labels == ["e12", "e13", "e23"]
     assert so4.labels[:3] == ["e12", "e13", "e14"]  # lexicographic order
-    assert np.allclose(so3.biinv_gram, np.eye(3), atol=1e-14)
-    assert np.allclose(so4.biinv_gram, np.eye(6), atol=1e-14)
+    assert so3.identity_residuals()["orthonormality"] == 0.0
+    assert so4.identity_residuals()["orthonormality"] == 0.0
 
 
 def test_so_basis_rejects_small_n():
@@ -55,7 +57,7 @@ def test_so3_form_normalization(so3):
 def test_su_basis_dimensions(su3):
     assert su3.dim == 8
     assert su3.subalgebra_dim == 3
-    assert np.allclose(su3.biinv_gram, np.eye(8), atol=1e-14)
+    assert su3.identity_residuals()["orthonormality"] == 0.0
 
 
 def test_su_cartan_closure(su3):
@@ -187,32 +189,87 @@ def test_jacobi_identity_all_builders():
         assert np.abs(_jacobi_dim4(basis.structure_constants)).max() < 1e-12
 
 
+# -- orthonormal coordinates ----------------------------------------------------------
+
+
+_ORTHONORMAL = {
+    **{f"so{n}": lambda n=n: build_so_basis(n) for n in range(2, 11)},
+    **{f"su{n}": lambda n=n: build_su_basis(n) for n in range(2, 9)},
+    **{f"su{n}-split": lambda n=n: build_su_basis(n, True) for n in range(2, 9)},
+    "torus3": lambda: build_torus_basis(3),
+}
+
+
+@pytest.mark.parametrize("name", _ORTHONORMAL)
+def test_builder_bases_are_orthonormal(name):
+    basis = _ORTHONORMAL[name]()
+    mats = basis.basis_matrices
+    gram = np.array([[matrix_form(a, b) for b in mats] for a in mats])
+    residual = basis.identity_residuals()["orthonormality"]
+    assert residual == float(np.abs(gram - np.eye(basis.dim)).max())
+    assert residual <= ALGEBRA_TOL
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_coords_of_recovers_coordinates(n):
+    # from su(4) on the Gram misses I by an ulp; coordinates still come back
+    basis = build_su_basis(n)
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, (4, basis.dim))
+    mats = np.einsum("ki,inm->knm", x, basis.basis_matrices)
+    assert np.abs(basis.coords_of(mats) - x).max() <= 1e-15
+
+
+def test_non_orthonormal_basis_is_rejected():
+    # Gram diag(1, 4, 9): pairings are not coordinates on this basis
+    mats = build_so_basis(3).basis_matrices * np.array([1.0, 2.0, 3.0])[:, None, None]
+    with pytest.raises(LieGeoError, match="orthonormality"):
+        StructuredBasis("so(3) scaled", mats, ["a", "b", "c"])
+
+
+# -- size guard ------------------------------------------------------------------------
+
+
+def test_size_guard_at_its_threshold(monkeypatch):
+    monkeypatch.setattr(algebra, "MAX_BASIS_DIM", 6)
+    assert build_so_basis(4).dim == 6
+    assert StructuredBasis("so(4)", build_so_basis(4).basis_matrices, range(6)).dim == 6
+    with pytest.raises(InvalidDimensionError, match="largest basis"):
+        build_so_basis(5)
+    with pytest.raises(InvalidDimensionError, match="largest basis"):
+        build_su_basis(3)
+    with pytest.raises(InvalidDimensionError, match="largest basis"):
+        build_torus_basis(7)
+
+
+def test_size_guard_refuses_before_building():
+    # so(16) and su(11) are the largest builds; beyond them nothing is allocated
+    assert 16 * 15 // 2 == algebra.MAX_BASIS_DIM == 11 * 11 - 1
+    for build, n in ((build_so_basis, 17), (build_so_basis, 40), (build_su_basis, 12)):
+        with pytest.raises(InvalidDimensionError, match="largest basis"):
+            build(n)
+    with pytest.raises(InvalidDimensionError, match="largest basis"):
+        build_so_basis(10**6)
+    # a direct construction is refused before any pairing of its matrices
+    with pytest.raises(InvalidDimensionError, match="largest basis"):
+        StructuredBasis("big", np.zeros((algebra.MAX_BASIS_DIM + 1, 1, 1)), [])
+
+
 # -- batched structure data against the per-pair matrix_form loops ---------------------
 
 
-def _loop_gram(mats):
-    return np.array([[matrix_form(a, b) for b in mats] for a in mats])
+def _loop_coords(mats, matrix):
+    return np.array([matrix_form(matrix, b) for b in mats])
 
 
-def _loop_coords(mats, gram_inv, matrix):
-    return gram_inv @ np.array([matrix_form(matrix, b) for b in mats])
-
-
-def _loop_structure_constants(mats, gram_inv):
+def _loop_structure_constants(mats):
     dim = len(mats)
     c = np.zeros((dim, dim, dim))
     for i in range(dim):
         for j in range(i + 1, dim):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            c[i, j] = _loop_coords(mats, gram_inv, comm)
+            c[i, j] = _loop_coords(mats, comm)
             c[j, i] = -c[i, j]
     return c
-
-
-def _scaled_so3():
-    # Gram diag(1, 4, 9): Gram^-1 applied on the wrong axis shows up here
-    mats = build_so_basis(3).basis_matrices * np.array([1.0, 2.0, 3.0])[:, None, None]
-    return StructuredBasis("so(3) scaled", mats, ["a", "b", "c"])
 
 
 _BASES = {
@@ -220,7 +277,6 @@ _BASES = {
     **{f"su{n}": lambda n=n: build_su_basis(n) for n in range(2, 6)},
     **{f"su{n}-split": lambda n=n: build_su_basis(n, True) for n in range(2, 6)},
     "torus2": lambda: build_torus_basis(2),
-    "so3-scaled": _scaled_so3,
 }
 
 
@@ -232,27 +288,15 @@ def _bits(a):
 def test_batched_basis_data_matches_pair_loops(name):
     basis = _BASES[name]()
     mats = basis.basis_matrices
-    gram = _loop_gram(mats)
-    gram_inv = np.linalg.inv(gram)
-    assert _bits(basis.biinv_gram) == _bits(gram)
-    assert _bits(basis.structure_constants) == _bits(_loop_structure_constants(mats, gram_inv))
+    assert _bits(basis.structure_constants) == _bits(_loop_structure_constants(mats))
     rng = np.random.default_rng(basis.dim)
     g = group_exp(basis.element(rng.standard_normal(basis.dim)), 0.9)
     ginv = g.matrix.conj().T
     conj = np.array([g.matrix @ b @ ginv for b in mats])
-    loop = np.array([_loop_coords(mats, gram_inv, m) for m in conj])
+    loop = np.array([_loop_coords(mats, m) for m in conj])
     assert _bits(basis.coords_of(conj[0])) == _bits(loop[0])
     assert _bits(basis.coords_of(conj)) == _bits(loop)
     assert _bits(Ad_matrix(g)) == _bits(loop.T)
-
-
-def test_scaled_basis_coords_use_gram_inverse_on_last_axis():
-    basis = _scaled_so3()
-    assert np.array_equal(basis.biinv_gram, np.diag([1.0, 4.0, 9.0]))
-    rng = np.random.default_rng(4)
-    coords = rng.standard_normal((5, 3))
-    mats = np.einsum("ki,inm->knm", coords, basis.basis_matrices)
-    assert np.allclose(basis.coords_of(mats), coords, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", _BASES)

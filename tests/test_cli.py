@@ -243,6 +243,7 @@ CONFIG_FILES = {
         ["curvature", "--group", "so1"],
         ["curvature", "--group", "su1"],
         ["curvature", "--group", "torus0"],
+        ["curvature", "--group", "so40", "--metric", "biinvariant"],
         ["curvature", "--metric", "rigid-body", "1,2,x"],
         ["curvature", "--metric", "cheeger", "x"],
         ["geodesic", "--u0", "1,x,3"],
@@ -271,6 +272,7 @@ CONFIG_FILES = {
         "group-so1",
         "group-su1",
         "group-torus0",
+        "group-so40-past-size-bound",
         "mu-not-a-number",
         "delta-not-a-number",
         "u0-not-a-number",

@@ -51,13 +51,13 @@ def test_steady_operators_preserve_complement(so4, rng):
     for i in range(so4.dim):
         u0 = so4.basis_element(i)
         crit = steady_operators(m, u0)
-        gram = m.metric_gram()
-        e0 = u0.coords / np.sqrt(u0.coords @ gram @ u0.coords)
+        lam = m.matrix
+        e0 = u0.coords / np.sqrt(u0.coords @ lam @ u0.coords)
         l_full = ad_matrix_raw(so4, u0.coords)
         f_full = m.ad_star_matrix_of(u0.coords) + m.coad_force_matrix(u0.coords)
         for mat in (l_full, f_full):
             img = mat @ crit.frame
-            assert np.abs(e0 @ gram @ img).max() < 1e-10
+            assert np.abs(e0 @ lam @ img).max() < 1e-10
         if crit.status == "applicable":
             dim = crit.L.shape[0]
             assert crit.residual < 1e-9

@@ -187,7 +187,7 @@ def _milnor_ricci(m):
     """Milnor's unimodular formula in basis coordinates, as an outside oracle:
     -1/2 sum g([x,e_i],[y,e_i]) - 1/2 B(x,y) + 1/4 sum g([e_i,e_j],x) g([e_i,e_j],y)."""
     c = m.basis.structure_constants
-    gram = m.metric_gram()
+    gram = m.matrix
     gi = np.linalg.inv(gram)
     low = c @ gram
     ric = (

@@ -171,13 +171,15 @@ def test_bad_locus_input_is_typed(call):
 
 
 def _scalar_first_time(delta, p, q):
-    # the per-direction formula with scalar arithmetic and the scalar bisect
-    r = float(np.sqrt((1.0 + delta) ** 2 * p**2 + q**2))
+    # the per-direction formula with scalar arithmetic and the scalar bisect;
+    # every square is x * x, never libm pow
+    a = 1.0 + delta
+    r = float(np.sqrt(a * a * (p * p) + q * q))
     if q == 0.0:
-        return np.pi / ((1.0 + delta) * p), "steady-axis"
+        return np.pi / (a * p), "steady-axis"
     if delta >= 0.0:
         return np.pi / r, "sin-root"
-    target = delta * q**2 / ((1.0 + delta) * float((1.0 + delta) * p**2 + q**2))
+    target = delta * (q * q) / (a * float(a * (p * p) + q * q))
 
     def fn(t):
         return np.tan(r * t) / (r * t) - target
@@ -195,7 +197,7 @@ def _per_angle_loop(delta, n_angles, unit, stride):
         p, q = abs(np.cos(th)), abs(np.sin(th))
         p, q = (0.0 if p < 1e-12 else p), (0.0 if q < 1e-12 else q)
         if unit == "metric":
-            speed = np.sqrt((1.0 + delta) * p**2 + q**2)
+            speed = np.sqrt((1.0 + delta) * (p * p) + q * q)
             p, q = p / speed, q / speed
         elif unit == "momentum":
             p = p / (1.0 + delta)
